@@ -51,6 +51,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 
 #: Bump when analyzer or envelope changes invalidate previous artifacts.
 #: (1 = PR 1's interface-only envelope; 2 = the multi-kind envelope with
@@ -198,7 +199,10 @@ class ArtifactStore:
             field: payload,
         }
         path = self._path(kind, name)
-        tmp = path + ".tmp"
+        # per-writer temp name, so concurrent writers of one entry never
+        # share (or consume) each other's file; it ends in no entry
+        # suffix, so stats/prune never count it
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w") as f:
             json.dump(envelope, f, indent=2)
         os.replace(tmp, path)  # atomic: readers never see a torn write

@@ -215,7 +215,10 @@ class AnalysisService:
         spec["content_sha256"] = digest
         path = os.path.join(self.spool_dir, f"{digest[:16]}-{name}")
         if not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}"
+            # per-writer temp name: handler threads spool identical bytes
+            # concurrently, and a shared name lets one rename consume the
+            # other's file
+            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
             with open(tmp, "wb") as f:
                 f.write(data)
             os.replace(tmp, path)

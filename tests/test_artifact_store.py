@@ -8,6 +8,7 @@ match — anything else is a miss, never a stale result.
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -104,6 +105,44 @@ class TestStoreKeying:
         assert store.get("report", "app") is None
         assert not os.path.exists(path)
         assert store.counters("report")["invalidations"] == 1
+
+
+class TestConcurrentWriters:
+    def test_two_writers_of_one_entry_both_succeed(
+        self, tmp_path, monkeypatch,
+    ):
+        """Two writers of the same entry (worker processes building one
+        library interface, fleet workers sharing a region) each rename
+        their own temp file; the last complete write wins."""
+        store = ArtifactStore(str(tmp_path))
+        payload = {"exports": {"read": [0], "write": [1]}}
+        # Both writers reach the rename only after both temp files exist.
+        barrier = threading.Barrier(2, timeout=10.0)
+        real_replace = os.replace
+
+        def gated_replace(src, dst):
+            barrier.wait()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", gated_replace)
+        errors: list[str] = []
+
+        def writer() -> None:
+            try:
+                store.put("iface", "libc.so.6", payload, content_hash="h")
+            except Exception as error:
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        monkeypatch.undo()
+
+        assert not errors, errors
+        assert store.get("iface", "libc.so.6", content_hash="h") == payload
+        assert [n for n in os.listdir(str(tmp_path)) if ".tmp" in n] == []
 
 
 class TestAnalyzerReportCache:

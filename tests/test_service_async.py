@@ -11,6 +11,8 @@ front end) over real sockets:
 * thundering herd: many clients concurrently submitting *identical*
   bytes cause exactly one pipeline execution — everyone else is served
   from the content-addressed artifact store;
+* two threads spooling identical inline bytes, both temp files written
+  before either rename, both succeed and leave no temp file behind;
 * ``FleetReport.merge()`` of partitioned runs equals the
   single-run report modulo runtime fields;
 * the :class:`ServiceClient` robustness contract — a daemon that
@@ -19,6 +21,8 @@ front end) over real sockets:
   backoff.
 """
 
+import base64
+import os
 import socket
 import threading
 import time
@@ -219,6 +223,54 @@ class TestThunderingHerd:
         )
         first = results[0]
         assert all(r["syscalls"] == first["syscalls"] for r in results)
+
+
+class TestSpoolRace:
+    def test_concurrent_identical_spools_both_succeed(
+        self, tmp_path, monkeypatch,
+    ):
+        """Front-end handler threads spool identical uploads at once;
+        each writer needs its own temp name, or the second rename finds
+        the shared temp file already consumed."""
+        from repro.service import executor
+
+        service = AnalysisService(str(tmp_path / "state"))
+        payload = b"\x7fELF-spool-race" * 64
+        # Both writers reach the rename only after both temp files exist.
+        barrier = threading.Barrier(2, timeout=10.0)
+        real_replace = os.replace
+
+        def gated_replace(src, dst):
+            barrier.wait()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(executor.os, "replace", gated_replace)
+        paths: list[str] = []
+        errors: list[str] = []
+
+        def writer() -> None:
+            spec = {
+                "binary_b64": base64.b64encode(payload).decode(),
+                "name": "race.bin",
+            }
+            try:
+                paths.append(service._spool(spec))
+            except Exception as error:
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        monkeypatch.undo()
+
+        assert not errors, errors
+        assert len(paths) == 2 and paths[0] == paths[1]
+        with open(paths[0], "rb") as f:
+            assert f.read() == payload
+        assert [n for n in os.listdir(service.spool_dir) if ".tmp." in n] \
+            == []
 
 
 class TestFleetReportMerge:
