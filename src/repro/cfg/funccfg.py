@@ -14,7 +14,7 @@ the three pure pieces of that machinery:
 * closure hashing — each region gets a body hash over its byte slice,
   then a **Merkle closure hash** folding the body hashes of every
   region reachable through the reference graph (Tarjan condensation,
-  callee-first).  A ``funccfg`` entry is keyed by this closure hash, so
+  callee-first).  A ``funccfg`` record is keyed by this closure hash, so
   editing one function invalidates exactly the changed region plus its
   transitive callers: the dependency cone
   (:func:`repro.cfg.partition.FunctionPartition.dependency_cone`).
@@ -31,6 +31,7 @@ which is what keeps incremental CFGs byte-identical to cold ones.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..loader.image import LoadedImage
@@ -88,6 +89,10 @@ class ImageScan:
     #: stream; part of the ``funccfg``/``funcid`` payloads so a cached
     #: product self-describes the signature the refinement derived)
     entry_sigs: dict[int, frozenset | None]
+
+    def cacheable_starts(self) -> list[int]:
+        """Starts of the regions whose products may be cached (aligned)."""
+        return [start for start, rs in self.regions.items() if rs.aligned]
 
 
 def scan_image(
@@ -287,21 +292,22 @@ def _closure_hashes(
     }
 
 
-def product_name(image_name: str, start: int) -> str:
-    """Store name of one region's ``funccfg`` entry."""
-    return f"{image_name}@{start:x}"
-
-
 def build_product(
     cfg: CFG,
+    block_addrs: list[int],
     rs: RegionScan,
     extra_leaders: set[int],
     entry_sig: frozenset | None = None,
 ) -> dict:
-    """The cacheable per-region payload, derived from the stitched CFG."""
-    block_starts = sorted(
-        addr for addr in cfg.blocks if rs.start <= addr < rs.end
-    )
+    """The cacheable per-region payload, derived from the stitched CFG.
+
+    ``block_addrs`` is ``sorted(cfg.blocks)``, sorted once per pass so
+    each region's block starts are one bisected slice, not a scan of
+    every block per region.
+    """
+    block_starts = block_addrs[
+        bisect_left(block_addrs, rs.start):bisect_left(block_addrs, rs.end)
+    ]
     return {
         "start": rs.start,
         "end": rs.end,

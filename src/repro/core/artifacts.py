@@ -15,13 +15,14 @@ wrappers  a binary's confirmed wrapper table (entry → parameter)
 report    a binary's full :class:`AnalysisReport` JSON
 gtruth    a binary's emulated ground-truth syscall set (§5.1),
           keyed by the input-vector suite it was traced under
-funccfg   one function region's CFG product (block starts + local
-          reachability), keyed by the region's Merkle *closure*
-          hash (:mod:`repro.cfg.funccfg`) in the content-hash slot
-funcid    one function region's identification products (syscall
-          sites, wrapper classifications, per-site identified
-          values + budget records), keyed by the combined
-          callee-closure + caller-cone hash (:mod:`repro.core.funcid`)
+funccfg   an image's per-region CFG products table: region start →
+          the region's Merkle *closure* hash + its product (block
+          starts + local reachability), see :mod:`repro.cfg.funccfg`
+funcid    an image's per-region identification products table:
+          region start → the combined callee-closure + caller-cone
+          hash + its product (syscall sites, wrapper classifications,
+          per-site identified values + budget records), see
+          :mod:`repro.core.funcid`
 ========  ====================================================
 
 Every entry is keyed defensively by four components:
@@ -40,6 +41,10 @@ Every entry is keyed defensively by four components:
 * **cache version** — :data:`CACHE_VERSION`, bumped whenever the
   envelope format or the analysis itself changes incompatibly.
 
+The two per-region tables (:class:`ProductTable`) are stored under the
+image name with an empty content hash, so a rebuilt binary still finds
+its table; each record inside is checked against its own key hash.
+
 Corrupted or mismatched entries are deleted and treated as misses, never
 as errors; writes are atomic (write + rename) so concurrent readers
 never observe torn files.
@@ -56,8 +61,9 @@ import threading
 #: Bump when analyzer or envelope changes invalidate previous artifacts.
 #: (1 = PR 1's interface-only envelope; 2 = the multi-kind envelope with
 #: config fingerprints and dependency hashes; 3 = ``funccfg``/``funcid``
-#: payloads carry the entry argument signature.)
-CACHE_VERSION = 3
+#: payloads carry the entry argument signature; 4 = one packed
+#: ``funccfg``/``funcid`` table per image, compact JSON envelopes.)
+CACHE_VERSION = 4
 
 #: Recognised artifact kinds and the envelope field each payload lives in.
 ARTIFACT_KINDS: dict[str, str] = {
@@ -97,7 +103,7 @@ class ArtifactStore:
     Layout: one ``<name>.<tag>.<kind>.json`` file per entry under
     ``cache_dir``, wrapping the payload in an envelope::
 
-        {"cache_version": 2, "kind": "report", "name": "…",
+        {"cache_version": 4, "kind": "report", "name": "…",
          "content_hash": "…", "config_fingerprint": "…",
          "dep_hashes": ["…", …], "report": {…}}
 
@@ -147,35 +153,11 @@ class ArtifactStore:
         names (per-pass artifacts, the interface cache).  Serving paths
         shared by many clients use :meth:`lookup`, which never deletes.
         """
-        field = self._payload_field(kind)
-        path = self._path(kind, name)
-        counters = self._counters[kind]
-        if not os.path.exists(path):
-            counters["misses"] += 1
-            return None
-        try:
-            with open(path) as f:
-                envelope = json.load(f)
-            version = envelope["cache_version"]
-            entry_hash = envelope["content_hash"]
-            entry_fingerprint = envelope["config_fingerprint"]
-            entry_deps = envelope["dep_hashes"]
-            payload = envelope[field]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self.invalidate(kind, name)
-            counters["misses"] += 1
-            return None
-        stale = (
-            version != self.version
-            or (content_hash is not None and content_hash != entry_hash)
-            or (fingerprint is not None and fingerprint != entry_fingerprint)
-            or (dep_hashes is not None and list(dep_hashes) != entry_deps)
+        payload = self._read(
+            kind, name, content_hash=content_hash, fingerprint=fingerprint,
+            dep_hashes=dep_hashes, delete_stale=True,
         )
-        if stale:
-            self.invalidate(kind, name)
-            counters["misses"] += 1
-            return None
-        counters["hits"] += 1
+        self._counters[kind]["misses" if payload is None else "hits"] += 1
         return payload
 
     def put(
@@ -203,14 +185,17 @@ class ArtifactStore:
         # share (or consume) each other's file; it ends in no entry
         # suffix, so stats/prune never count it
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        # one C-encoded string, one write: ``json.dump`` would take the
+        # pure-Python incremental encoder and write chunk by chunk
+        data = json.dumps(envelope, separators=(",", ":"))
         with open(tmp, "w") as f:
-            json.dump(envelope, f, indent=2)
+            f.write(data)
         os.replace(tmp, path)  # atomic: readers never see a torn write
         self._counters[kind]["writes"] += 1
         if content_hash and kind in self._hash_index:
             self._hash_index[kind][content_hash] = name
 
-    def _validated_payload(
+    def _read(
         self,
         kind: str,
         name: str,
@@ -218,23 +203,23 @@ class ArtifactStore:
         content_hash: str | None,
         fingerprint: str | None,
         dep_hashes: list[str] | None,
+        delete_stale: bool,
     ) -> dict | list | None:
         """The entry's payload iff it exists and matches every supplied
-        key component; no counters, and mismatches are left on disk
-        (unparseable envelopes are still removed — they are garbage
-        under every key)."""
+        key component; no counters.  Unparseable envelopes are always
+        removed (they are garbage under every key); key mismatches only
+        when ``delete_stale``."""
         field = self._payload_field(kind)
-        path = self._path(kind, name)
-        if not os.path.exists(path):
-            return None
         try:
-            with open(path) as f:
+            with open(self._path(kind, name)) as f:
                 envelope = json.load(f)
             version = envelope["cache_version"]
             entry_hash = envelope["content_hash"]
             entry_fingerprint = envelope["config_fingerprint"]
             entry_deps = envelope["dep_hashes"]
             payload = envelope[field]
+        except FileNotFoundError:
+            return None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             self.invalidate(kind, name)
             return None
@@ -244,7 +229,11 @@ class ArtifactStore:
             or (fingerprint is not None and fingerprint != entry_fingerprint)
             or (dep_hashes is not None and list(dep_hashes) != entry_deps)
         )
-        return None if stale else payload
+        if not stale:
+            return payload
+        if delete_stale:
+            self.invalidate(kind, name)
+        return None
 
     def lookup(
         self,
@@ -270,16 +259,17 @@ class ArtifactStore:
           is retried under the name the content hash was cached as.
         """
         counters = self._counters[kind]
-        payload = self._validated_payload(
-            kind, name, content_hash=content_hash,
-            fingerprint=fingerprint, dep_hashes=dep_hashes,
+        payload = self._read(
+            kind, name, content_hash=content_hash, fingerprint=fingerprint,
+            dep_hashes=dep_hashes, delete_stale=False,
         )
         if payload is None and content_hash:
             alias = self.find_name(kind, content_hash)
             if alias is not None and alias != name:
-                payload = self._validated_payload(
+                payload = self._read(
                     kind, alias, content_hash=content_hash,
                     fingerprint=fingerprint, dep_hashes=dep_hashes,
+                    delete_stale=False,
                 )
         if payload is None:
             counters["misses"] += 1
@@ -558,3 +548,72 @@ class ShardedArtifactStore:
         out["total_entries"] = sum(k["entries"] for k in kinds.values())
         out["total_bytes"] = sum(k["bytes"] for k in kinds.values())
         return out
+
+
+class ProductTable:
+    """One image's per-region products of one kind, held as one entry.
+
+    The incremental tier keeps a product per function region
+    (``funccfg``, ``funcid``); one entry per region would make store
+    cost grow with the function count, not the change.  The table maps
+    each region start to ``{"key": <hash>, "product": {…}}``; it is read
+    once (on construction) and written at most once (:meth:`flush`, only
+    when a record changed).
+
+    It is stored under the image name with an empty content hash: a
+    rebuilt binary has a new content hash but must still find its table
+    (a sharded store then places it by name).  A record serves only when
+    its key equals the caller's live hash; anything else is a per-region
+    miss.  Concurrent writers of one table are last-writer-wins through
+    the atomic replace, so a lost update costs a later miss, never a
+    wrong product.
+    """
+
+    __slots__ = ("store", "kind", "name", "fingerprint", "records", "changed")
+
+    def __init__(
+        self,
+        store: ArtifactStore | ShardedArtifactStore,
+        kind: str,
+        name: str,
+        fingerprint: str,
+    ) -> None:
+        self.store = store
+        self.kind = kind
+        self.name = name
+        self.fingerprint = fingerprint
+        payload = store.get(
+            kind, name, content_hash="", fingerprint=fingerprint,
+            dep_hashes=[],
+        )
+        #: str(region start) -> {"key": hash, "product": payload}
+        self.records: dict = payload if isinstance(payload, dict) else {}
+        self.changed = False
+
+    def product(self, start: int, key: str) -> dict | None:
+        """The region's cached product iff its record carries ``key``."""
+        record = self.records.get(str(start))
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None
+        product = record.get("product")
+        return product if isinstance(product, dict) else None
+
+    def set(self, start: int, key: str, product: dict) -> None:
+        self.records[str(start)] = {"key": key, "product": product}
+        self.changed = True
+
+    def flush(self, live: list[int]) -> None:
+        """Write the table if a record changed.  Records of regions not
+        in ``live`` (the image's cacheable region starts) are dropped,
+        so a table never outgrows its image across rebuilds."""
+        keep = {str(start) for start in live}
+        stale = [start for start in self.records if start not in keep]
+        for start in stale:
+            del self.records[start]
+        if not (self.changed or stale):
+            return
+        self.store.put(
+            self.kind, self.name, self.records, content_hash="",
+            fingerprint=self.fingerprint, dep_hashes=[],
+        )
+        self.changed = False

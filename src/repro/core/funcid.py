@@ -1,8 +1,10 @@
 """Per-function identification products: the ``funcid`` artifact kind.
 
 PR 7 made ``cfg-recovery`` function-granular; this module extends the
-same design through the symex stage.  One ``funcid`` entry per function
-region caches everything the identification stages concluded about it:
+same design through the symex stage.  One ``funcid`` record per function
+region — all of an image's records held in one
+:class:`~repro.core.artifacts.ProductTable` — caches everything the
+identification stages concluded about the region:
 
 * the region's discovered **syscall sites** (validated against a live
   re-discovery, because reachability is a global fact the per-function
@@ -45,10 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cfg.funccfg import ImageScan, product_name
+from ..cfg.funccfg import ImageScan
 from ..cfg.model import CFG
 from ..cfg.signatures import signature_doc
-from .artifacts import ArtifactStore
+from .artifacts import ProductTable
 from .identify import SiteIdentification
 from .sites import SyscallSite
 from .wrappers import WrapperInfo, wrapper_from_record, wrapper_record
@@ -85,14 +87,13 @@ class FuncidState:
     """
 
     __slots__ = (
-        "scan", "image_name", "fingerprint",
-        "sites_by_region", "cached", "notes", "dirty",
+        "scan", "table", "sites_by_region", "cached", "notes", "dirty",
     )
 
-    def __init__(self, scan: ImageScan, image_name: str, fingerprint: str):
+    def __init__(self, scan: ImageScan, table: ProductTable):
         self.scan = scan
-        self.image_name = image_name
-        self.fingerprint = fingerprint
+        #: the image's ``funcid`` product table
+        self.table = table
         self.sites_by_region: dict[int, list[SyscallSite]] = {}
         #: region start -> validated cached payload
         self.cached: dict[int, _RegionCache] = {}
@@ -109,8 +110,8 @@ class FuncidState:
         region = self.scan.partition.region_containing(addr)
         return region.start if region is not None else None
 
-    def probe(self, store: ArtifactStore, sites: list[SyscallSite]) -> int:
-        """Probe every aligned region's funcid entry; return the hits.
+    def probe(self, sites: list[SyscallSite]) -> int:
+        """Probe every aligned region's funcid record; return the hits.
 
         A hit additionally requires the cached site list to equal the
         live one — site membership depends on global reachability, which
@@ -125,13 +126,10 @@ class FuncidState:
             start = region.start
             if not self.scan.regions[start].aligned:
                 continue
-            payload = store.get(
-                "funcid", product_name(self.image_name, start),
-                content_hash=self.scan.funcid_hashes[start],
-                fingerprint=self.fingerprint,
-                dep_hashes=[],
+            payload = self.table.product(
+                start, self.scan.funcid_hashes[start],
             )
-            if not isinstance(payload, dict):
+            if payload is None:
                 continue
             indexed = self._validate(payload, start, region.end)
             if indexed is None:
@@ -258,14 +256,15 @@ class FuncidState:
 
     # ---- re-store -----------------------------------------------------
 
-    def flush(self, store: ArtifactStore) -> None:
-        """Store fresh payloads for every changed aligned region.
+    def flush(self) -> None:
+        """Record fresh payloads for every changed aligned region, then
+        write the table once if any record changed.
 
         A cached region is rewritten when an individual record failed
         validation (``dirty``) or when this run's record key sets differ
         from the cached ones (anchors appeared or disappeared — global
         CFG facts moved without moving the region's key).  Regions that
-        replayed cleanly are skipped: the stored entry is already
+        replayed cleanly are skipped: the stored record is already
         identical.
         """
         for region in self.scan.partition:
@@ -298,9 +297,5 @@ class FuncidState:
                 "plain": [doc for __, doc in sorted(notes.plain.items())],
                 "calls": [doc for __, doc in sorted(notes.calls.items())],
             }
-            store.put(
-                "funcid", product_name(self.image_name, start), payload,
-                content_hash=self.scan.funcid_hashes[start],
-                fingerprint=self.fingerprint,
-                dep_hashes=[],
-            )
+            self.table.set(start, self.scan.funcid_hashes[start], payload)
+        self.table.flush(self.scan.cacheable_starts())

@@ -37,12 +37,7 @@ from ..cfg.builder import (
     build_cfg,
     carve_blocks,
 )
-from ..cfg.funccfg import (
-    build_product,
-    product_name,
-    scan_image,
-    validate_product,
-)
+from ..cfg.funccfg import build_product, scan_image, validate_product
 from ..cfg.indirect import resolve_indirect_active, resolve_indirect_all
 from ..cfg.model import CFG, EDGE_ICALL
 from ..cfg.reachability import reachable_blocks
@@ -51,7 +46,12 @@ from ..loader.image import LoadedImage
 from ..x86.decoder import decode_all
 from ..symex.engine import ExecContext
 from ..symex.state import MemoryBackend
-from .artifacts import CACHE_VERSION, ArtifactStore, fingerprint_doc
+from .artifacts import (
+    CACHE_VERSION,
+    ArtifactStore,
+    ProductTable,
+    fingerprint_doc,
+)
 from .funcid import FuncidState
 from .identify import (
     SiteIdentification,
@@ -374,8 +374,11 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
 
     Only *aligned* regions (first decoded instruction exactly at the
     region start) are cached; misaligned regions re-carve every run and
-    count as re-analyzed.  Without an artifact store the pass degrades
-    to the plain cold pass (library interface builds pass no store).
+    count as re-analyzed.  All of an image's products live in one
+    ``funccfg`` :class:`~repro.core.artifacts.ProductTable`, read once
+    per analysis and written at most once.  Without an artifact store
+    the pass degrades to the plain cold pass (library interface builds
+    pass no store).
     """
 
     name = "cfg-recovery"  # same stage key: reports stay byte-compatible
@@ -396,6 +399,9 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
         # scan (combined callee-closure + caller-cone hashes).
         ctx.extras["image_scan"] = scan
 
+        table = ProductTable(
+            ctx.artifacts, "funccfg", image.name, ctx.fingerprint,
+        )
         leaders: set[int] = set()
         misses: list[int] = []
         entry = image.entry
@@ -405,13 +411,8 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
             extra = scan.extra_leaders.get(start, set())
             block_starts = None
             if rs.aligned:
-                payload = ctx.artifacts.get(
-                    "funccfg", product_name(image.name, start),
-                    content_hash=scan.closure_hashes[start],
-                    fingerprint=ctx.fingerprint,
-                    dep_hashes=[],
-                )
-                if isinstance(payload, dict):
+                payload = table.product(start, scan.closure_hashes[start])
+                if payload is not None:
                     block_starts = validate_product(
                         payload, rs, extra, by_addr,
                         scan.entry_sigs.get(start),
@@ -433,20 +434,20 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
 
         # Store fresh products for the re-carved (cacheable) regions now
         # that the stitched block set and its intra-region edges exist.
+        block_addrs = sorted(cfg.blocks)
         for start in misses:
             rs = scan.regions[start]
             if not rs.aligned:
                 continue
-            ctx.artifacts.put(
-                "funccfg", product_name(image.name, start),
+            table.set(
+                start, scan.closure_hashes[start],
                 build_product(
-                    cfg, rs, scan.extra_leaders.get(start, set()),
+                    cfg, block_addrs, rs,
+                    scan.extra_leaders.get(start, set()),
                     scan.entry_sigs.get(start),
                 ),
-                content_hash=scan.closure_hashes[start],
-                fingerprint=ctx.fingerprint,
-                dep_hashes=[],
             )
+        table.flush(scan.cacheable_starts())
         ctx.functions_reanalyzed = len(misses)
         self._finish(ctx, cfg)
 
@@ -600,8 +601,10 @@ class IncrementalSiteDiscoveryPass(SiteDiscoveryPass):
         scan = ctx.extras.get("image_scan")
         if scan is None or ctx.artifacts is None:
             return
-        state = FuncidState(scan, ctx.image.name, ctx.fingerprint)
-        state.probe(ctx.artifacts, ctx.sites)
+        state = FuncidState(scan, ProductTable(
+            ctx.artifacts, "funcid", ctx.image.name, ctx.fingerprint,
+        ))
+        state.probe(ctx.sites)
         ctx.extras["funcid"] = state
 
 
@@ -708,7 +711,7 @@ class IncrementalIdentificationPass(IdentificationPass):
                 state.note_call(call_block, info, ident)
                 ctx.record(call_block, ident)
 
-        state.flush(ctx.artifacts)
+        state.flush()
 
 
 class ExternalCallsPass(Pass):

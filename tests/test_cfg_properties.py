@@ -26,7 +26,7 @@ from repro.cfg import (
     resolve_indirect_all,
 )
 from repro.cfg.signatures import ARG_REG_NAMES, filter_targets
-from repro.cfg.funccfg import scan_image
+from repro.cfg.funccfg import build_product, scan_image
 from repro.cfg.partition import FunctionPartition
 from repro.corpus import ProgramBuilder
 from repro.corpus.mutate import mutate_program
@@ -179,6 +179,23 @@ def test_partition_is_total_nonoverlapping_cover(spec):
         assert owner.start <= insn.addr < owner.end
     assert partition.region_containing(prog.image.text_base - 1) is None
     assert partition.region_containing(prog.image.text_end) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_program())
+def test_product_block_starts_equal_reference_filter(spec):
+    """``build_product`` slices one sorted block list per region; the
+    result equals the reference per-region filter of every block."""
+    prog = _build(spec)
+    insns = decode_all(prog.image.text_bytes, prog.image.text_base)
+    scan = scan_image(prog.image, insns, {i.addr: i for i in insns})
+    cfg = build_cfg(prog.image)
+    block_addrs = sorted(cfg.blocks)
+    for start, rs in scan.regions.items():
+        product = build_product(cfg, block_addrs, rs, set())
+        assert product["block_starts"] == sorted(
+            addr for addr in cfg.blocks if rs.start <= addr < rs.end
+        )
 
 
 @settings(max_examples=40, deadline=None)

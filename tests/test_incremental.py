@@ -9,9 +9,10 @@ functions plus their reverse-dependency cone.
 These tests drive that contract end to end with the in-repo mutator
 (:mod:`repro.corpus.mutate`): size-preserving immediate edits that change
 K function bodies and nothing else.  Fault cases corrupt or truncate
-cached ``funccfg``/``funcid`` entries and require graceful degradation to
-a per-function (or per-site) cold re-analysis (miss, never crash), on
-flat and sharded stores alike.
+the packed per-image ``funccfg``/``funcid`` tables — one region's record,
+or the whole table file — and require graceful degradation to a
+per-function (or per-site) cold re-analysis (miss, never crash) that the
+next run heals, on flat and sharded stores alike.
 
 The symex tier gets the same treatment: ``sites_total`` /
 ``sites_reexecuted`` are pinned against an independent oracle — the
@@ -23,11 +24,13 @@ replay from cache.
 """
 
 import glob
+import json
 import os
+from functools import partial
 
 import pytest
 
-from repro.cfg.funccfg import product_name, scan_image
+from repro.cfg.funccfg import scan_image
 from repro.cfg.partition import FunctionPartition
 from repro.core import (
     ArtifactStore,
@@ -35,7 +38,7 @@ from repro.core import (
     PersistentInterfaceStore,
     ShardedArtifactStore,
 )
-from repro.core.artifacts import _safe_filename
+from repro.core.artifacts import ARTIFACT_KINDS
 from repro.core.identify import wrapper_call_blocks
 from repro.core.pipeline import (
     AnalysisContext,
@@ -141,19 +144,61 @@ def _prune_derived(store) -> None:
         store.prune(kind)
 
 
-def _entry_files(root: str, kind: str) -> list[str]:
+LAYOUTS = {
+    "flat": ArtifactStore,
+    "sharded": lambda root: ShardedArtifactStore(root, shards=2),
+}
+
+#: the per-region product kinds, one table each per image
+TABLE_KINDS = ("funccfg", "funcid")
+
+
+def _table_path(root: str, kind: str) -> str:
+    """The one ``kind`` table file under ``root`` (every test here
+    analyzes a single image per store)."""
     files = glob.glob(os.path.join(root, "**", f"*.{kind}.json"),
                       recursive=True)
-    assert files, f"no {kind} entries under {root}"
-    return files
+    assert len(files) == 1, f"expected one {kind} table under {root}: {files}"
+    return files[0]
 
 
-def _funccfg_files(root: str) -> list[str]:
-    return _entry_files(root, "funccfg")
+def _table_records(root: str, kind: str) -> dict:
+    """The table's records: str(region start) -> {"key", "product"}."""
+    with open(_table_path(root, kind)) as handle:
+        return json.load(handle)[ARTIFACT_KINDS[kind]]
 
 
-def _funcid_files(root: str) -> list[str]:
-    return _entry_files(root, "funcid")
+def _edit_record(root: str, kind: str, start: int, edit) -> None:
+    """Rewrite one region's record inside the table file in place."""
+    path = _table_path(root, kind)
+    with open(path) as handle:
+        envelope = json.load(handle)
+    records = envelope[ARTIFACT_KINDS[kind]]
+    records[str(start)] = edit(records[str(start)])
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+
+
+def _truncate_record(record: dict) -> dict:
+    """Keep the key but only the first half of the product's fields."""
+    fields = list(record["product"].items())
+    return {**record, "product": dict(fields[: len(fields) // 2])}
+
+
+def _garbage_record(record: dict) -> str:
+    return "\x00garbage, not a record"
+
+
+def _damage_table(root: str, kind: str, damage: str) -> None:
+    path = _table_path(root, kind)
+    if damage == "garbage":
+        data = b"\x00garbage, not json\xff"
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        data = data[: len(data) // 2]
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -215,140 +260,159 @@ def test_unchanged_rerun_reanalyzes_nothing(tmp_path):
     assert _stable(first) == _stable(second)
     assert second.functions_total == first.functions_total
     assert second.functions_reanalyzed == 0
+    # One packed table per kind: one read serves every region.
     counters = rerun_store.counters("funccfg")
-    assert counters["hits"] == second.functions_total
+    assert counters["hits"] == 1
     assert counters["misses"] == 0
     # Symex tier: every identification anchor replayed from cache.
     assert first.sites_total > 0
     assert second.sites_total == first.sites_total
     assert second.sites_reexecuted == 0
     funcid = rerun_store.counters("funcid")
-    assert funcid["hits"] == second.functions_total
+    assert funcid["hits"] == 1
     assert funcid["misses"] == 0
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_unchanged_rerun_writes_no_products(layout, tmp_path):
+    bundle = build_app("redis")
+    root = str(tmp_path / "cache")
+    image = LoadedImage.from_bytes("redis", bundle.program.elf_bytes)
+    first_store = LAYOUTS[layout](root)
+    _incremental_analyzer(bundle, first_store).analyze(image)
+    # The first analysis writes each table once, not once per region.
+    assert first_store.counters("funccfg")["writes"] == 1
+    assert first_store.counters("funcid")["writes"] == 1
+    tables = {
+        kind: open(_table_path(root, kind), "rb").read()
+        for kind in TABLE_KINDS
+    }
+    _prune_derived(first_store)
+    rerun_store = LAYOUTS[layout](root)
+    _incremental_analyzer(bundle, rerun_store).analyze(image)
+    for kind, data in tables.items():
+        assert rerun_store.counters(kind)["writes"] == 0
+        assert open(_table_path(root, kind), "rb").read() == data
+
+
 # ---------------------------------------------------------------------------
-# Fault injection: corrupt / truncated funccfg entries
+# Fault injection: damaged tables and damaged records
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("layout", ["flat", "sharded"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_corrupt_funccfg_degrades_to_cold(layout, tmp_path):
-    bundle = build_app("nginx")
-    root = str(tmp_path / "cache")
-    make_store = (
-        (lambda: ArtifactStore(root)) if layout == "flat"
-        else (lambda: ShardedArtifactStore(root, shards=2))
-    )
-    store = make_store()
-    image = LoadedImage.from_bytes("nginx", bundle.program.elf_bytes)
-    first = _incremental_analyzer(bundle, store).analyze(
-        image, modules=bundle.module_images
-    )
-    for path in _funccfg_files(root):
-        with open(path, "wb") as f:
-            f.write(b"\x00garbage, not json\xff")
-    _prune_derived(store)
-    rerun = _incremental_analyzer(bundle, make_store()).analyze(
-        image, modules=bundle.module_images
-    )
-    assert _stable(rerun) == _stable(first)
-    # Every entry was unusable: full per-function cold re-analysis.
-    assert rerun.functions_reanalyzed == rerun.functions_total
+    _check_table_fault(tmp_path, layout, "funccfg", "garbage")
 
 
-def test_truncated_funcid_entry_is_a_per_region_miss(tmp_path):
-    bundle = build_app("memcached")
-    root = str(tmp_path / "cache")
-    image = LoadedImage.from_bytes("memcached", bundle.program.elf_bytes)
-    first = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
-    assert first.sites_total > 0
-    # Pick the region owning the most identification anchors and
-    # truncate exactly its funcid entry.
-    scan = _scan(image)
-    by_region: dict[int, int] = {}
-    for addr in _anchor_addrs(image):
-        start = scan.partition.region_containing(addr).start
-        by_region[start] = by_region.get(start, 0) + 1
-    victim_start = max(by_region, key=lambda s: (by_region[s], -s))
-    victim = os.path.join(
-        root,
-        _safe_filename(product_name("memcached", victim_start), "funcid"),
-    )
-    assert victim in _funcid_files(root)
-    data = open(victim, "rb").read()
-    with open(victim, "wb") as f:
-        f.write(data[: len(data) // 2])
-    _prune_derived(ArtifactStore(root))
-    rerun = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
-    assert _stable(rerun) == _stable(first)
-    assert rerun.functions_reanalyzed == 0
-    # Only the victim region's anchors re-executed.
-    assert rerun.sites_total == first.sites_total
-    assert rerun.sites_reexecuted == by_region[victim_start]
-    # The miss was re-stored: a further run replays everything again.
-    _prune_derived(ArtifactStore(root))
-    healed = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
-    assert _stable(healed) == _stable(first)
-    assert healed.sites_reexecuted == 0
-
-
-@pytest.mark.parametrize("layout", ["flat", "sharded"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_corrupt_funcid_degrades_to_site_misses(layout, tmp_path):
+    _check_table_fault(tmp_path, layout, "funcid", "garbage")
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_truncated_table_degrades_every_region(layout, kind, tmp_path):
+    _check_table_fault(tmp_path, layout, kind, "truncated")
+
+
+def _check_table_fault(tmp_path, layout: str, kind: str, damage: str):
+    """A garbage or truncated table file: every region of that kind
+    misses, the report still equals the first run's, and the next run
+    heals (steady-state counts again)."""
     bundle = build_app("nginx")
     root = str(tmp_path / "cache")
-    make_store = (
-        (lambda: ArtifactStore(root)) if layout == "flat"
-        else (lambda: ShardedArtifactStore(root, shards=2))
-    )
+    make_store = partial(LAYOUTS[layout], root)
     image = LoadedImage.from_bytes("nginx", bundle.program.elf_bytes)
     first = _incremental_analyzer(bundle, make_store()).analyze(
         image, modules=bundle.module_images
     )
     assert first.sites_total > 0
-    for path in _funcid_files(root):
-        with open(path, "wb") as f:
-            f.write(b"\x00garbage, not json\xff")
+    _damage_table(root, kind, damage)
     _prune_derived(make_store())
     rerun = _incremental_analyzer(bundle, make_store()).analyze(
         image, modules=bundle.module_images
     )
     assert _stable(rerun) == _stable(first)
-    # funccfg entries survived, so no function re-analysis — but every
-    # identification anchor lost its cached product and re-executed.
     steady_funcs = len(_expected_reanalysis(image, []))
-    assert rerun.functions_reanalyzed == steady_funcs
-    assert rerun.sites_total == first.sites_total
-    assert rerun.sites_reexecuted == rerun.sites_total
-    # The misses were re-stored: a further run replays everything.
     sites_total, steady_sites = _expected_sites(image, [])
+    assert rerun.sites_total == sites_total
+    if kind == "funccfg":
+        # Every region lost its CFG product: full per-function re-carve.
+        assert rerun.functions_reanalyzed == rerun.functions_total
+    else:
+        # funccfg survived, so no function re-analysis — but every
+        # identification anchor lost its cached record and re-executed.
+        assert rerun.functions_reanalyzed == steady_funcs
+        assert rerun.sites_reexecuted == rerun.sites_total
+    # The misses were re-stored: a further run replays everything.
     _prune_derived(make_store())
     healed = _incremental_analyzer(bundle, make_store()).analyze(
         image, modules=bundle.module_images
     )
     assert _stable(healed) == _stable(first)
     assert healed.sites_total == sites_total
+    assert healed.functions_reanalyzed == steady_funcs
     assert healed.sites_reexecuted == steady_sites
 
 
+def test_truncated_funcid_entry_is_a_per_region_miss(tmp_path):
+    for layout in LAYOUTS:
+        _check_record_fault(
+            tmp_path / layout, layout, "funcid", _truncate_record,
+        )
+
+
 def test_truncated_funccfg_entry_is_a_single_miss(tmp_path):
+    for layout in LAYOUTS:
+        _check_record_fault(
+            tmp_path / layout, layout, "funccfg", _truncate_record,
+        )
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_garbage_record_is_a_per_region_miss(layout, kind, tmp_path):
+    _check_record_fault(tmp_path, layout, kind, _garbage_record)
+
+
+def _check_record_fault(tmp_path, layout: str, kind: str, damage) -> None:
+    """Damaging one region's record inside the table costs exactly that
+    region: one re-carved function (``funccfg``) or the region's own
+    anchors re-executed (``funcid``).  The next run heals."""
     bundle = build_app("memcached")
     root = str(tmp_path / "cache")
+    make_store = partial(LAYOUTS[layout], root)
     image = LoadedImage.from_bytes("memcached", bundle.program.elf_bytes)
-    first = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
-    victim = sorted(_funccfg_files(root))[0]
-    data = open(victim, "rb").read()
-    with open(victim, "wb") as f:
-        f.write(data[: len(data) // 2])
-    _prune_derived(ArtifactStore(root))
-    rerun = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
+    first = _incremental_analyzer(bundle, make_store()).analyze(image)
+    assert first.sites_total > 0
+    # The victim is the region owning the most identification anchors.
+    scan = _scan(image)
+    by_region: dict[int, int] = {}
+    for addr in _anchor_addrs(image):
+        start = scan.partition.region_containing(addr).start
+        by_region[start] = by_region.get(start, 0) + 1
+    victim = max(by_region, key=lambda s: (by_region[s], -s))
+    assert str(victim) in _table_records(root, kind)
+    _edit_record(root, kind, victim, damage)
+    _prune_derived(make_store())
+    rerun = _incremental_analyzer(bundle, make_store()).analyze(image)
     assert _stable(rerun) == _stable(first)
-    assert rerun.functions_reanalyzed == 1
-    # The miss was re-stored: a further run is all-hit again.
-    _prune_derived(ArtifactStore(root))
-    healed = _incremental_analyzer(bundle, ArtifactStore(root)).analyze(image)
+    assert rerun.sites_total == first.sites_total
+    if kind == "funccfg":
+        assert rerun.functions_reanalyzed == 1
+        assert rerun.sites_reexecuted == 0
+    else:
+        assert rerun.functions_reanalyzed == 0
+        # Only the victim region's anchors re-executed.
+        assert rerun.sites_reexecuted == by_region[victim]
+    # The miss was re-stored: a further run replays everything again.
+    _prune_derived(make_store())
+    healed = _incremental_analyzer(bundle, make_store()).analyze(image)
     assert _stable(healed) == _stable(first)
+    assert healed.sites_total == first.sites_total
     assert healed.functions_reanalyzed == 0
+    assert healed.sites_reexecuted == 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +568,8 @@ def _sig_dispatch_program():
     return p.build()
 
 
-def _payloads_for(root: str, kind: str, start: int) -> list[dict]:
-    import json
-
-    key = {"funccfg": "function_cfg", "funcid": "function_id"}[kind]
-    out = []
-    for path in _entry_files(root, kind):
-        with open(path) as handle:
-            doc = json.load(handle)
-        if doc.get(key, {}).get("start") == start:
-            out.append(doc[key])
-    return out
+def _payload_for(root: str, kind: str, start: int) -> dict:
+    return _table_records(root, kind)[str(start)]["product"]
 
 
 @pytest.mark.parametrize("layout", ["flat", "sharded"])
@@ -531,11 +586,10 @@ def test_cached_products_carry_entry_signatures(layout, tmp_path):
     assert sorted(warm.syscalls) == [39, 60]
 
     handler = prog.image.symbol_addr("handler")
-    for kind in ("funccfg", "funcid"):
-        payloads = _payloads_for(root, kind, handler)
-        assert payloads, f"no cached {kind} product for the handler"
-        for payload in payloads:
-            assert payload["arg_signature"] == ["rdx", "rsi"]
+    for kind in TABLE_KINDS:
+        payload = _payload_for(root, kind, handler)
+        assert payload["start"] == handler
+        assert payload["arg_signature"] == ["rdx", "rsi"]
 
     # Replaying the warm cache must validate those signatures (a replay
     # re-analyzes nothing and reproduces the report byte for byte).
@@ -611,10 +665,10 @@ def test_ablation_config_does_not_share_cache_entries(tmp_path):
     assert 41 in ablated.syscalls
     assert set(warm.syscalls) < set(ablated.syscalls)
 
-    # Store entries are keyed by product name, so the ablated run
-    # recycled the slots under its own fingerprint: a filtered replay
-    # must *miss* on every one (fingerprint mismatch) rather than reuse
-    # an ablated product, and still reproduce the warm report exactly.
+    # Product tables are keyed by image name, so the ablated run
+    # recycled them under its own fingerprint: a filtered replay must
+    # *miss* on every region (fingerprint mismatch) rather than reuse an
+    # ablated product, and still reproduce the warm report exactly.
     _prune_derived(ArtifactStore(root))
     replay = _standalone_analyzer(ArtifactStore(root)).analyze(prog.image)
     assert replay.functions_reanalyzed == replay.functions_total
