@@ -8,9 +8,8 @@ committed ``BENCH_service_scale.json`` trajectory:
 
 * the acceptance ratio: the 4-worker tier's steady-state (warm)
   throughput vs the 1-worker *cold* throughput — asserted to stay
-  >= 3x (the same warm-vs-cold framing as
-  ``bench_service_throughput.py``: the steady state a long-running
-  daemon converges to vs its worst-case single-worker build-out);
+  >= 3x (the steady state a long-running daemon converges to vs its
+  worst-case single-worker build-out);
 * drift vs the **latest** trajectory entry (the 15% p99/throughput
   regression CI enforces; ``tools/service_gate.py`` is the enforcement
   point, the bench only reports it).

@@ -5,9 +5,11 @@ Walks the full ``bside serve`` conversation:
 
 1. start an analysis daemon (in-process, on an ephemeral port — pass
    ``--url`` to drive an already-running ``bside serve`` instead),
-2. submit a binary by path, poll to completion, fetch its report,
-3. resubmit the identical binary and watch it come back from the
-   content-addressed cache with zero analysis,
+2. submit a binary by path, wait for completion (a long-poll), fetch
+   its report,
+3. resubmit the identical binary and watch it come back ``done`` from
+   the submission itself — served from the content-addressed cache with
+   zero analysis,
 4. submit raw ELF bytes inline (the daemon never sees the client's disk),
 5. derive enforcement artifacts — a seccomp-style filter and an
    OCI/Docker seccomp profile — from the completed job,
@@ -61,12 +63,12 @@ def main() -> int:
     if args.url:
         url = args.url
     else:
-        from repro.service import AnalysisService, ServiceServer
+        from repro.service import AnalysisService, AsyncServiceServer
 
         service = AnalysisService(
             os.path.join(workdir, "state"), workers=2, queue_size=16,
         )
-        server = ServiceServer(service, port=0)
+        server = AsyncServiceServer(service, port=0)
         server.start()
         url = server.url
         print(f"started in-process daemon at {url}")
@@ -74,7 +76,7 @@ def main() -> int:
     client = ServiceClient(url)
     print(f"health: {client.health()['status']}")
 
-    # --- 1. submit by path, poll, fetch -------------------------------
+    # --- 1. submit by path, wait, fetch -------------------------------
     job = client.submit_path(demo_path)
     print(f"\nsubmitted {demo_path} as {job['id']} (status {job['status']})")
     job = client.wait(job["id"])
@@ -84,7 +86,9 @@ def main() -> int:
           f"(from_cache={job['metrics']['from_cache']})")
 
     # --- 2. warm resubmission: served from the artifact store ---------
-    warm = client.wait(client.submit_path(demo_path)["id"])
+    warm = client.submit_path(demo_path)
+    print(f"warm resubmission: status {warm['status']} at submit time")
+    warm = client.wait(warm["id"])
     assert warm["metrics"]["from_cache"], "warm job must be cache-served"
     print(f"warm run: from_cache={warm['metrics']['from_cache']} "
           f"in {warm['metrics']['seconds']:.3f}s — zero analysis")

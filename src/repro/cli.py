@@ -59,8 +59,7 @@ Commands
 
 ``serve [--host H] [--port P] --state-dir DIR [--cache-dir DIR]
 [--workers N] [--worker-procs N] [--shards N] [--join] [--worker-id W]
-[--lease-ttl S] [--threaded] [--queue-size N] [--libdir DIR]
-[--incremental]``
+[--lease-ttl S] [--queue-size N] [--libdir DIR] [--incremental]``
     Run the analysis daemon: an asyncio HTTP/JSON job API over the
     fleet engine and the (optionally sharded) artifact store.  With
     ``--worker-procs`` the queue is drained by external worker
@@ -445,7 +444,6 @@ def cmd_serve(args) -> int:
     from .service import (
         AnalysisService,
         AsyncServiceServer,
-        ServiceServer,
         ServiceWorker,
         spawn_workers,
     )
@@ -482,11 +480,9 @@ def cmd_serve(args) -> int:
         incremental=args.incremental,
     )
     service.write_config()
-    server_cls = ServiceServer if args.threaded else AsyncServiceServer
-    server = server_cls(service, host=args.host, port=args.port)
+    server = AsyncServiceServer(service, host=args.host, port=args.port)
     processes = spawn_workers(args.state_dir, external) if external else []
-    print(f"bside serve: listening on {server.url} "
-          f"({'threaded' if args.threaded else 'asyncio'})")
+    print(f"bside serve: listening on {server.url}")
     print(f"  state dir:  {service.state_dir}")
     print(f"  cache dir:  {service.cache_dir} (shards {service.shards})")
     if external:
@@ -726,9 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lease-ttl", type=float, default=30.0,
                    help="seconds before a silent worker's job leases "
                         "expire and are re-queued")
-    p.add_argument("--threaded", action="store_true",
-                   help="serve with the thread-per-connection front end "
-                        "instead of the asyncio event loop")
     p.add_argument("--queue-size", type=int, default=64,
                    help="max queued jobs before submissions get 429")
     p.add_argument("--libdir",

@@ -440,7 +440,7 @@ class FleetAnalyzer:
         entries: list[FleetEntry | None] = [None] * len(images)
         pending: list[int] = []
         for index, image in enumerate(images):
-            entry = self._cached_entry(image)
+            entry = self.cached_entry(image)
             if entry is not None:
                 entries[index] = entry
                 self._notify(index, entry)
@@ -504,7 +504,7 @@ class FleetAnalyzer:
         if self.on_entry is not None:
             self.on_entry(index, entry)
 
-    def _cached_entry(self, image: LoadedImage) -> FleetEntry | None:
+    def cached_entry(self, image: LoadedImage) -> FleetEntry | None:
         """Serve one binary's report from the artifact store, if valid.
 
         Lookup is keyed by name first, then by content hash (a renamed

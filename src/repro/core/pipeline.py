@@ -229,9 +229,9 @@ class Pass:
         return 0
 
 
-#: Process-global pipeline-execution counter.  The service suite and
-#: ``bench_service_throughput`` read it to prove that warm (cache-served)
-#: requests run **zero** analysis passes — a cached report must never
+#: Process-global pipeline-execution counter.  The service suite reads
+#: it to prove that warm (cache-served) requests run **zero** analysis
+#: passes — a cached report must never
 #: reach this code.  Fleet worker processes measure their own deltas and
 #: the parent folds them back in via :func:`add_runs`, so the counter
 #: stays accurate across process fan-out.

@@ -18,9 +18,8 @@ One measurement (:func:`measure_service_scale`) sweeps worker tiers
   (submit → terminal, polled) yields p50/p99, and the level where
   throughput stops improving is the tier's **saturation point**.
 
-The acceptance ratio follows the precedent set by
-``benchmarks/bench_service_throughput.py``: the max-tier *steady-state*
-(warm) throughput is compared against the 1-worker *cold* throughput —
+The acceptance ratio compares the max-tier *steady-state* (warm)
+throughput against the 1-worker *cold* throughput —
 the steady state a long-running daemon converges to vs the worst-case
 single-worker build-out.  Cold-vs-cold scaling across tiers is recorded
 but only informational: on a single-core runner it is

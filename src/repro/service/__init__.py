@@ -15,12 +15,10 @@ a multi-worker deployment over a shared state directory:
   batch-draining executor over the fleet engine (optionally sharding
   its artifact store across N roots).
 * :mod:`repro.service.routes` — the single source of the ``/v1`` API
-  contract, shared by both front ends.
+  contract.
 * :mod:`repro.service.aserver` — :class:`AsyncServiceServer`, the
-  default asyncio front end (thousands of keep-alive connections on one
-  event loop).
-* :mod:`repro.service.server` — :class:`ServiceServer`, the original
-  stdlib ``ThreadingHTTPServer`` front end.
+  asyncio front end (thousands of keep-alive connections and
+  long-polls on one event loop).
 * :mod:`repro.service.worker` — :class:`ServiceWorker` processes that
   drain a shared queue via lease claims (``bside serve --workers/--join``).
 * :mod:`repro.service.client` — :class:`ServiceClient`, the stdlib
@@ -34,7 +32,6 @@ from .aserver import AsyncServiceServer
 from .client import ServiceClient, ServiceError
 from .executor import AnalysisService
 from .jobs import Job, JobQueue, QueueFull
-from .server import ServiceServer
 from .worker import ServiceWorker, spawn_workers, worker_main
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "QueueFull",
     "ServiceClient",
     "ServiceError",
-    "ServiceServer",
     "ServiceWorker",
     "spawn_workers",
     "worker_main",

@@ -1,27 +1,31 @@
-"""The asyncio HTTP/JSON front end — the default ``bside serve`` transport.
+"""The asyncio HTTP/JSON front end of ``bside serve``.
 
 A single-threaded event loop (stdlib ``asyncio.start_server``, no
 dependencies) accepts thousands of concurrent keep-alive connections
-without the thread-per-connection cost of
-:class:`~repro.service.server.ServiceServer`.  Both front ends route
-through :mod:`repro.service.routes`, so the ``/v1`` contract is defined
-exactly once.
+without a thread per connection.  Routing goes through
+:mod:`repro.service.routes`, where the ``/v1`` contract is defined.
 
 How a request flows:
 
 1. the loop reads the request head (bounded ``readuntil``) and the
-   ``Content-Length`` body (bounded; 413 + connection close beyond the
-   inline-binary cap);
+   ``Content-Length`` body (bounded; 413 + connection close beyond
+   :data:`MAX_BODY_BYTES`);
 2. routing and queue/disk work run in :func:`asyncio.to_thread` — the
    loop never blocks on filesystem I/O, so slow disks don't stall
    unrelated connections;
-3. the response is written with an explicit ``Content-Length`` and the
+3. a long-poll (``GET /v1/jobs/<id>?wait=S``) waits on the loop itself:
+   a future per waiter, resolved when :meth:`JobQueue.finish
+   <repro.service.jobs.JobQueue.finish>` announces the job through
+   ``call_soon_threadsafe``.  In shared mode, where worker processes
+   finish jobs, the record is also re-read every
+   :data:`SHARED_RECHECK_SECONDS`.  No thread is held while a request
+   waits, so waiters never starve the ``to_thread`` pool;
+4. the response is written with an explicit ``Content-Length`` and the
    connection is kept alive for HTTP/1.1 clients.
 
 Analysis never runs on the loop *or* its thread pool: the executor's
 dispatcher thread (local mode) or external worker processes
-(:mod:`repro.service.worker`) drain the queue, exactly as with the
-threaded server.
+(:mod:`repro.service.worker`) drain the queue.
 """
 
 from __future__ import annotations
@@ -32,11 +36,18 @@ import socket
 import threading
 from http import HTTPStatus
 
-from .executor import AnalysisService
-from .routes import ApiResult, handle_request
-from .server import MAX_BODY_BYTES
+from .executor import MAX_INLINE_BYTES, AnalysisService
+from .jobs import TERMINAL
+from .routes import ApiResult, handle_request, long_poll
 
 logger = logging.getLogger(__name__)
+
+#: request-body cap: the inline-binary bound plus base64 + JSON overhead
+MAX_BODY_BYTES = MAX_INLINE_BYTES * 3 // 2
+
+#: how often a shared-mode long-poll re-reads its job record, since
+#: jobs finished by worker processes announce nothing to this process
+SHARED_RECHECK_SECONDS = 0.01
 
 #: maximum bytes of request line + headers
 MAX_HEAD_BYTES = 32 * 1024
@@ -55,9 +66,8 @@ def _reason(status: int) -> str:
 class AsyncServiceServer:
     """The daemon: an :class:`AnalysisService` behind an asyncio server.
 
-    API-compatible with :class:`~repro.service.server.ServiceServer`:
-    construct (binding happens eagerly, so ``port=0`` resolves and
-    :attr:`url` is immediately valid), then ``start()`` /
+    Construct (binding happens eagerly, so ``port=0`` binds an ephemeral
+    port and :attr:`url` is immediately valid), then ``start()`` /
     ``serve_forever()`` / ``stop()``.
     """
 
@@ -72,6 +82,8 @@ class AsyncServiceServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
         self._ready = threading.Event()
+        #: job id -> futures of the long-polls waiting on it (loop only)
+        self._waiters: dict[str, set[asyncio.Future]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -80,8 +92,9 @@ class AsyncServiceServer:
     def start(self, executor: bool = True) -> None:
         """Serve requests on a background event-loop thread.
 
-        ``executor=False`` leaves the dispatcher stopped, as with the
-        threaded server (jobs queue but never run locally).
+        ``executor=False`` leaves the dispatcher stopped — jobs queue up
+        but never run (tests use it to pin backpressure and recovery
+        behaviour; call ``service.start()`` later to drain).
         """
         if executor:
             self.service.start()
@@ -116,14 +129,62 @@ class AsyncServiceServer:
             pass
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, sock=self._sock, limit=MAX_HEAD_BYTES,
-        )
-        self._ready.set()
-        async with server:
-            await self._shutdown.wait()
+
+        def announce(job_id: str) -> None:  # runs on the finishing thread
+            try:
+                loop.call_soon_threadsafe(self._wake, job_id)
+            except RuntimeError:  # the loop has closed: nobody waits
+                pass
+
+        listeners = self.service.queue.finish_listeners
+        listeners.append(announce)
+        try:
+            server = await asyncio.start_server(
+                self._handle_connection, sock=self._sock,
+                limit=MAX_HEAD_BYTES,
+            )
+            self._ready.set()
+            async with server:
+                await self._shutdown.wait()
+        finally:
+            listeners.remove(announce)
+
+    # ------------------------------------------------------------------
+    # Long-poll
+    # ------------------------------------------------------------------
+
+    def _wake(self, job_id: str) -> None:
+        for waiter in self._waiters.pop(job_id, ()):
+            waiter.set_result(None)
+
+    async def _long_poll(self, job_id: str, seconds: float) -> ApiResult:
+        """The job's status once it is terminal, or after ``seconds``."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + seconds
+        while True:
+            # registered before the status read, so a finish landing
+            # between the read and the wait still wakes this waiter
+            waiter = loop.create_future()
+            self._waiters.setdefault(job_id, set()).add(waiter)
+            try:
+                result = await asyncio.to_thread(
+                    handle_request, self.service, "GET", f"/v1/jobs/{job_id}"
+                )
+                remaining = deadline - loop.time()
+                if (result.status != 200 or remaining <= 0
+                        or result.doc["job"]["status"] in TERMINAL):
+                    return result
+                if self.service.shared:
+                    remaining = min(remaining, SHARED_RECHECK_SECONDS)
+                await asyncio.wait([waiter], timeout=remaining)
+            finally:
+                waiters = self._waiters.get(job_id)
+                if waiters is not None:
+                    waiters.discard(waiter)
+                    if not waiters:
+                        del self._waiters[job_id]
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -199,10 +260,18 @@ class AsyncServiceServer:
         except (asyncio.IncompleteReadError, ConnectionError):
             return False
 
-        # Queue submission and job reads touch disk and locks: off-loop.
-        result = await asyncio.to_thread(
-            handle_request, self.service, method, path, body
-        )
+        try:
+            wait = long_poll(method, path)
+        except ValueError as error:
+            result = ApiResult(400, {"error": str(error)})
+        else:
+            if wait is not None:
+                result = await self._long_poll(*wait)
+            else:
+                # Submission and job reads touch disk and locks: off-loop.
+                result = await asyncio.to_thread(
+                    handle_request, self.service, method, path, body
+                )
         keep_alive = (
             version == "HTTP/1.1"
             and headers.get("connection", "").lower() != "close"

@@ -14,7 +14,13 @@ Robustness contract (pinned by ``tests/test_service_async.py``):
 * **backpressure retries** — 429 responses are retried with bounded
   exponential backoff (honouring ``Retry-After``, capped), because a
   full queue is an invitation to come back, not a failure; every other
-  error status raises immediately.
+  error status raises immediately;
+* **long-poll, then sleep** — :meth:`ServiceClient.wait` reads the job
+  once with :meth:`ServiceClient.job`, then waits with
+  ``GET /v1/jobs/<id>?wait=S`` requests, each held by the server until
+  the job is terminal or S passes; S stays under ``read_timeout``.  A
+  server that answers a long-poll early with an unfinished job ignores
+  ``?wait=``; ``wait`` then sleeps ``poll`` between :meth:`job` calls.
 """
 
 from __future__ import annotations
@@ -27,9 +33,13 @@ import time
 import urllib.parse
 
 from ..errors import ReproError
+from .jobs import TERMINAL
 
 #: upper bound on any single retry sleep, Retry-After included
 MAX_BACKOFF_SECONDS = 2.0
+
+#: longest single ``?wait=S`` long-poll :meth:`ServiceClient.wait` asks for
+LONG_POLL_SECONDS = 10.0
 
 
 class ServiceError(ReproError):
@@ -185,20 +195,40 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll: float = 0.05) -> dict:
-        """Poll until the job reaches a terminal state; returns the job.
+        """Wait until the job reaches a terminal state; returns the job.
 
-        Raises :class:`ServiceError` (status 0) on timeout.
+        :meth:`job` is called once before any waiting and once after
+        each ``poll`` sleep; long-polls are separate requests.  Sleeps
+        happen only against a server that ignores ``?wait=``.  Raises
+        :class:`ServiceError` (status 0) on timeout.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["status"] in ("done", "failed"):
-                return job
-            if time.monotonic() >= deadline:
+        job = self.job(job_id)
+        long_polls = True
+        while job["status"] not in TERMINAL:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     0, f"job {job_id} still {job['status']} after {timeout}s"
                 )
+            if long_polls:
+                seconds = max(0.001, min(
+                    remaining, LONG_POLL_SECONDS, self.read_timeout / 2,
+                ))
+                started = time.monotonic()
+                job = self.request(
+                    "GET", f"/v1/jobs/{job_id}?wait={seconds:.3f}"
+                )["job"]
+                # a server that holds long-polls answers early only
+                # with a terminal job
+                long_polls = (
+                    job["status"] in TERMINAL
+                    or time.monotonic() - started >= seconds / 2
+                )
+                continue
             time.sleep(poll)
+            job = self.job(job_id)
+        return job
 
     def report(self, job_id: str) -> dict:
         return self.request("GET", f"/v1/jobs/{job_id}/report")

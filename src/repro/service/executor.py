@@ -3,7 +3,14 @@
 :class:`AnalysisService` owns the daemon's long-lived state — one
 bounded :class:`~repro.service.jobs.JobQueue`, one shared
 content-addressed :class:`~repro.core.artifacts.ArtifactStore` — and a
-dispatcher thread that drains the queue in batches:
+dispatcher thread that drains the queue in batches.
+
+A submission whose report is already in the store never reaches the
+queue: :meth:`AnalysisService.submit` hashes the bytes, and only when
+the store knows that hash does it run the fleet engine's phase-1 lookup
+(:meth:`~repro.core.fleet.FleetAnalyzer.cached_entry`) against a fresh
+resolver.  A hit returns a job created ``done``; anything else queues.
+Queued work runs as follows:
 
 1. ``take_batch`` pops up to ``batch_factor × workers`` queued jobs
    sharing a group key (kind + library directory).
@@ -165,11 +172,14 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def submit(self, kind: str, spec: dict) -> Job:
-        """Validate a job spec and enqueue it.
+        """Validate a job spec; answer it from the report store or enqueue it.
 
-        Raises :class:`ValueError` for a malformed spec (HTTP 400) and
+        Returns a ``done`` job when an ``analyze`` submission's report is
+        cached (HTTP 200), else the queued job (202).  Raises
+        :class:`ValueError` for a malformed spec (HTTP 400) and
         :class:`~repro.service.jobs.QueueFull` on backpressure (429).
         """
+        submitted_at = time.time()
         spec = dict(spec)
         # content_sha256 is a server-side field (set by _spool when it
         # hashes an inline upload, later seeding LoadedImage.content_hash).
@@ -190,7 +200,49 @@ class AnalysisService:
             raise ValueError(f"unknown job kind {kind!r}")
         if not spec.get("libdir") and self.default_libdir:
             spec["libdir"] = self.default_libdir
+        if kind == "analyze":
+            served = self._serve_cached(spec, submitted_at)
+            if served is not None:
+                return served
         return self.queue.submit(kind, spec)
+
+    def _serve_cached(self, spec: dict, submitted_at: float) -> Job | None:
+        """Finish an ``analyze`` submission from the report store, if valid.
+
+        A miss costs one read and one SHA-256 (none for an inline upload,
+        whose spool digest is reused): only a hash the store already
+        knows is worth parsing the image and resolving its libraries.
+        A hit runs the same validated lookup as the dispatcher's fleet
+        phase 1, so the report is byte-identical to a dispatcher-served
+        one.  Every failure here returns ``None`` and leaves the
+        submission to the dispatcher, which handles it like any queued job.
+        """
+        path = spec["path"]
+        digest = spec.get("content_sha256")
+        data = None
+        try:
+            if digest is None:
+                with open(path, "rb") as f:
+                    data = f.read()
+                digest = hashlib.sha256(data).hexdigest()
+            if self.artifacts.find_name("report", digest) is None:
+                return None
+            if data is None:
+                with open(path, "rb") as f:
+                    data = f.read()
+            image = LoadedImage.from_bytes(
+                os.path.basename(path), data, content_hash=digest,
+            )
+            entry = self._fleet(spec.get("libdir")).cached_entry(image)
+        except (OSError, ValueError, ReproError):
+            return None
+        if entry is None:
+            return None
+        return self.queue.submit_done(
+            "analyze", spec, submitted_at=submitted_at,
+            result=entry.report.to_doc(),
+            metrics=self._entry_metrics(entry, 0, 0.0),
+        )
 
     def _spool(self, spec: dict) -> str:
         """Decode an inline submission into the spool directory.
@@ -274,8 +326,17 @@ class AnalysisService:
     # Batch execution
     # ------------------------------------------------------------------
 
-    def _resolver(self, libdir: str | None) -> LibraryResolver:
-        return LibraryResolver(search_dir=libdir or None)
+    def _fleet(self, libdir: str | None, on_entry=None) -> FleetAnalyzer:
+        """A fleet engine over a fresh resolver: a swapped library in
+        ``libdir`` changes the dependency hashes of the next lookup."""
+        return FleetAnalyzer(
+            resolver=LibraryResolver(search_dir=libdir or None),
+            budget=self.budget,
+            workers=self.fleet_workers,
+            artifact_store=self.artifacts,
+            incremental=self.incremental,
+            on_entry=on_entry,
+        )
 
     def _finish(self, job: Job, *, error: str = "") -> None:
         """Record a terminal transition, unless our lease was reaped.
@@ -340,16 +401,8 @@ class AnalysisService:
             # position — names may collide across submissions.
             self._finish_analyze(image_jobs[index], entry, batch_n)
 
-        fleet = FleetAnalyzer(
-            resolver=self._resolver(libdir),
-            budget=self.budget,
-            workers=self.fleet_workers,
-            artifact_store=self.artifacts,
-            incremental=self.incremental,
-            on_entry=finish_entry,
-        )
         try:
-            fleet.analyze_images(images)
+            self._fleet(libdir, finish_entry).analyze_images(images)
         except (ReproError, LoaderError) as error:
             for job in image_jobs:
                 if job.status == STATUS_RUNNING:
@@ -357,37 +410,38 @@ class AnalysisService:
 
     def _finish_analyze(self, job: Job, entry: FleetEntry, batch_size: int) -> None:
         job.result = entry.report.to_doc()
+        queue_seconds = (job.started_at or job.submitted_at) - job.submitted_at
         # merge, not replace: lease claims stamp metrics["worker"] first
         job.metrics = {
             **job.metrics,
+            **self._entry_metrics(entry, batch_size, queue_seconds),
+        }
+        self._finish(job)
+
+    @staticmethod
+    def _entry_metrics(entry: FleetEntry, batch_size: int,
+                       queue_seconds: float) -> dict:
+        """Per-job metrics of one fleet entry; ``batch_size`` 0 means the
+        job was served at submission time."""
+        metrics = {
             "seconds": round(entry.seconds, 6),
             "cache_hits": entry.cache_hits,
             "cache_misses": entry.cache_misses,
             "from_cache": entry.from_cache,
             "batch_size": batch_size,
-            "queue_seconds": round(
-                (job.started_at or job.submitted_at) - job.submitted_at, 6
-            ),
+            "queue_seconds": round(queue_seconds, 6),
         }
         if entry.report.functions_total:
-            job.metrics["functions_total"] = entry.report.functions_total
-            job.metrics["functions_reanalyzed"] = (
-                entry.report.functions_reanalyzed
-            )
+            metrics["functions_total"] = entry.report.functions_total
+            metrics["functions_reanalyzed"] = entry.report.functions_reanalyzed
         if entry.report.sites_total:
-            job.metrics["sites_total"] = entry.report.sites_total
-            job.metrics["sites_reexecuted"] = entry.report.sites_reexecuted
-        self._finish(job)
+            metrics["sites_total"] = entry.report.sites_total
+            metrics["sites_reexecuted"] = entry.report.sites_reexecuted
+        return metrics
 
     def _run_fleet_job(self, job: Job) -> None:
         directory = job.spec["directory"]
-        fleet = FleetAnalyzer(
-            resolver=self._resolver(job.spec.get("libdir")),
-            budget=self.budget,
-            workers=self.fleet_workers,
-            artifact_store=self.artifacts,
-            incremental=self.incremental,
-        )
+        fleet = self._fleet(job.spec.get("libdir"))
         started = time.perf_counter()
         try:
             report = fleet.analyze_directory(directory)

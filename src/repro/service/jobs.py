@@ -16,7 +16,13 @@ transition, so a daemon restart recovers the queue exactly:
 The queue is **bounded**: :meth:`JobQueue.submit` raises
 :class:`QueueFull` when ``maxsize`` jobs are waiting, which the HTTP
 layer surfaces as ``429 Too Many Requests`` — backpressure instead of
-unbounded memory growth.
+unbounded memory growth.  A job the front end answered from the report
+store at submission (:meth:`JobQueue.submit_done`) never waits, so it
+takes no queue slot and is never refused.
+
+Every terminal transition made through :meth:`JobQueue.finish` is
+announced to the callables in :attr:`JobQueue.finish_listeners` (the
+asyncio front end wakes its long-polls from there).
 
 Batching: :meth:`take_batch` hands the executor up to ``max_jobs``
 queued jobs that share a *group key* (kind + library directory), so one
@@ -76,6 +82,12 @@ STATUSES = (STATUS_QUEUED, STATUS_RUNNING, STATUS_DONE, STATUS_FAILED)
 TERMINAL = (STATUS_DONE, STATUS_FAILED)
 
 from dataclasses import dataclass, field  # noqa: E402
+
+
+def _stamp(st: os.stat_result) -> tuple:
+    """What tells one atomic write of a record from another: every write
+    is a new file (new inode), and mtime + size guard inode reuse."""
+    return (st.st_ino, st.st_mtime_ns, st.st_size)
 
 
 class QueueFull(Exception):
@@ -175,8 +187,9 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._queued: list[str] = []  # FIFO of queued job ids
         self._seq = 0
-        #: job record mtimes at last load (shared-mode refresh bookkeeping)
-        self._mtimes: dict[str, float] = {}
+        #: stamp of each job record as last written or read by this
+        #: instance (shared-mode refresh bookkeeping; see :func:`_stamp`)
+        self._stamps: dict[str, tuple] = {}
         #: leases held by *this* instance: job id -> worker id
         self._held: dict[str, str] = {}
         self._last_refresh = 0.0
@@ -187,7 +200,12 @@ class JobQueue:
             "recovered": 0,
             "quarantined": 0,
             "reclaimed": 0,
+            #: answered from the report store at submission, never queued
+            "served_at_submit": 0,
         }
+        #: ``callable(job_id)`` hooks run after every :meth:`finish`, on
+        #: the finishing thread; they must be quick and must not raise
+        self.finish_listeners: list = []
         self._recover()
 
     # ------------------------------------------------------------------
@@ -204,13 +222,16 @@ class JobQueue:
         """Atomically write one job's current state to disk."""
         path = self._path(job.id)
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        # compact, so the C encoder runs: a done job's record carries its
+        # whole report, and the indenting encoder is pure Python
+        data = json.dumps(job.to_doc(), separators=(",", ":"))
         with open(tmp, "w") as f:
-            json.dump(job.to_doc(), f, indent=2)
+            f.write(data)
+        # stamped before the rename: a peer process may replace the
+        # record right after it, and stamping the path then would mark
+        # the peer's version as already read
+        self._stamps[job.id] = _stamp(os.stat(tmp))
         os.replace(tmp, path)
-        try:
-            self._mtimes[job.id] = os.stat(path).st_mtime
-        except OSError:
-            pass
 
     def _quarantine(self, path: str) -> None:
         """Move an unparseable record aside; recovery must never crash
@@ -255,15 +276,17 @@ class JobQueue:
         if its lease goes stale.  Corrupt records are quarantined.
         """
         for job_id in self._record_ids_on_disk():
+            # stamp before reading: a peer's later write must look new
+            try:
+                stamp = _stamp(os.stat(self._path(job_id)))
+            except OSError:
+                continue
             job = self._load_job_file(job_id)
             if job is None:
                 continue
             self._jobs[job.id] = job
+            self._stamps[job.id] = stamp
             self._seq = max(self._seq, self._seq_of(job.id))
-            try:
-                self._mtimes[job.id] = os.stat(self._path(job.id)).st_mtime
-            except OSError:
-                pass
             if job.status == STATUS_QUEUED:
                 self._queued.append(job.id)
                 self.counters["recovered"] += 1
@@ -303,18 +326,18 @@ class JobQueue:
         on_disk = self._record_ids_on_disk()
         for job_id in on_disk:
             try:
-                mtime = os.stat(self._path(job_id)).st_mtime
+                stamp = _stamp(os.stat(self._path(job_id)))
             except OSError:
                 continue
             with self._lock:
-                if job_id in self._jobs and self._mtimes.get(job_id) == mtime:
+                if job_id in self._jobs and self._stamps.get(job_id) == stamp:
                     continue
             job = self._load_job_file(job_id)
             if job is None:
                 continue
             with self._lock:
                 self._jobs[job.id] = job
-                self._mtimes[job.id] = mtime
+                self._stamps[job.id] = stamp
                 self._seq = max(self._seq, self._seq_of(job.id))
             changed.append(job)
         with self._lock:
@@ -345,19 +368,39 @@ class JobQueue:
                 raise QueueFull(
                     f"queue full ({self.maxsize} jobs waiting); retry later"
                 )
-            self._seq += 1
-            job = Job(
-                id=f"job-{self._seq:06d}",
-                kind=kind,
-                spec=dict(spec),
-                submitted_at=time.time(),
-            )
-            self._jobs[job.id] = job
+            job = self._new_job(kind, spec, submitted_at=time.time())
             self._queued.append(job.id)
-            self.counters["submitted"] += 1
             self.persist(job)
             self._not_empty.notify()
             return job
+
+    def submit_done(self, kind: str, spec: dict, *, submitted_at: float,
+                    result: dict, metrics: dict) -> Job:
+        """Record a job that was answered at submission time.
+
+        The job is created ``done`` and persisted once.  It never enters
+        the FIFO, so it takes no queue slot and is admitted even when
+        the queue is full: backpressure bounds waiting work, and this
+        job never waits.
+        """
+        with self._lock:
+            job = self._new_job(
+                kind, spec, status=STATUS_DONE, submitted_at=submitted_at,
+                started_at=submitted_at, finished_at=time.time(),
+                result=result, metrics=metrics,
+            )
+            self.counters["served_at_submit"] += 1
+            self.persist(job)
+            return job
+
+    def _new_job(self, kind: str, spec: dict, **fields) -> Job:
+        """Allocate the next job id and register the job (lock held)."""
+        self._seq += 1
+        job = Job(id=f"job-{self._seq:06d}", kind=kind, spec=dict(spec),
+                  **fields)
+        self._jobs[job.id] = job
+        self.counters["submitted"] += 1
+        return job
 
     # ------------------------------------------------------------------
     # Consumer side: in-process dispatcher
@@ -587,6 +630,8 @@ class JobQueue:
                 job.status = STATUS_DONE
             self.persist(job)
         self.release(job.id)
+        for listener in self.finish_listeners:
+            listener(job.id)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -600,18 +645,18 @@ class JobQueue:
             return job
         # Another process may have advanced (or created) this job.
         try:
-            mtime = os.stat(self._path(job_id)).st_mtime
+            stamp = _stamp(os.stat(self._path(job_id)))
         except OSError:
             return job
         with self._lock:
-            if job is not None and self._mtimes.get(job_id) == mtime:
+            if job is not None and self._stamps.get(job_id) == stamp:
                 return job
         fresh = self._load_job_file(job_id)
         if fresh is None:
             return job
         with self._lock:
             self._jobs[fresh.id] = fresh
-            self._mtimes[fresh.id] = mtime
+            self._stamps[fresh.id] = stamp
             if fresh.status != STATUS_QUEUED and fresh.id in self._queued:
                 self._queued.remove(fresh.id)
             return fresh

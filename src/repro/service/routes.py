@@ -1,12 +1,10 @@
 """Transport-independent ``/v1`` API routing.
 
-The service has two front ends — the original threading server
-(:mod:`repro.service.server`) and the asyncio server
-(:mod:`repro.service.aserver`).  Both must answer identically: this
-module is the single source of the API contract.  A front end reads the
-request off its transport (enforcing the body bound, 413) and calls
-:func:`handle_request`; everything else — routing, spec validation,
-status codes, error shapes — happens here.
+This module is the single source of the API contract.  The front end
+(:mod:`repro.service.aserver`) reads the request off its transport
+(enforcing the body bound, 413), holds long-polls on its event loop,
+and calls :func:`handle_request` for everything else — routing, spec
+validation, status codes, error shapes all happen here.
 
 Endpoint reference (full examples in ``docs/service-api.md``):
 
@@ -15,30 +13,38 @@ method     path                            meaning
 =========  ==============================  =====================================
 GET        ``/v1/healthz``                 liveness probe
 GET        ``/v1/stats``                   queue depth, cache + pipeline stats
-POST       ``/v1/jobs``                    submit a job (202; 429 on backpressure)
+POST       ``/v1/jobs``                    submit a job (200 done from cache,
+                                           202 queued; 429 on backpressure)
 GET        ``/v1/jobs``                    list jobs (summaries)
-GET        ``/v1/jobs/<id>``               one job's status + metrics
+GET        ``/v1/jobs/<id>``               one job's status + metrics;
+                                           ``?wait=S`` long-polls up to S s
 GET        ``/v1/jobs/<id>/report``        the AnalysisReport / FleetReport JSON
 GET        ``/v1/jobs/<id>/filter``        derived seccomp-style filter
 GET        ``/v1/jobs/<id>/profile``       derived OCI/Docker seccomp profile
 =========  ==============================  =====================================
 
-Status codes: 202 accepted, 400 bad spec, 404 unknown, 405 wrong
-method, 409 not-ready-yet / failed, 413 oversized body (transport
-layer), 429 queue full.  Every response body is JSON; errors are
-``{"error": ...}``.
+Status codes: 200 ok (a submission answered from the report store),
+202 accepted (queued), 400 bad spec or bad ``wait``, 404 unknown,
+405 wrong method, 409 not-ready-yet / failed, 413 oversized body
+(transport layer), 429 queue full.  Every response body is JSON;
+errors are ``{"error": ...}``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import urllib.parse
 from dataclasses import dataclass
 
 from ..core.report import AnalysisReport
 from ..filters.docker import profile_from_report
 from ..filters.seccomp import FilterProgram
 from ..syscalls.table import name_of
-from .jobs import Job, QueueFull
+from .jobs import STATUS_DONE, Job, QueueFull
+
+#: longest a ``?wait=S`` long-poll is held; a larger S is capped to it
+MAX_WAIT_SECONDS = 30.0
 
 
 @dataclass
@@ -79,6 +85,31 @@ def handle_request(service, method: str, path: str,
     return _error(405, f"method {method} not allowed")
 
 
+def long_poll(method: str, path: str) -> tuple[str, float] | None:
+    """``(job id, seconds)`` when the request is ``GET /v1/jobs/<id>?wait=S``.
+
+    ``None`` for every other request.  S is capped at
+    :data:`MAX_WAIT_SECONDS`; a value that is not a finite number ≥ 0
+    raises :class:`ValueError` (HTTP 400).
+    """
+    route, __, query = path.partition("?")
+    parts = [p for p in route.split("/") if p]
+    if method != "GET" or len(parts) != 3 or parts[:2] != ["v1", "jobs"]:
+        return None
+    values = urllib.parse.parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return None
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(
+            f"wait must be a number of seconds >= 0, got {values[-1]!r}"
+        )
+    return parts[2], min(seconds, MAX_WAIT_SECONDS)
+
+
 def _handle_get(service, parts: list[str], path: str) -> ApiResult:
     if parts == ["v1", "healthz"]:
         return ApiResult(200, {"status": "ok"})
@@ -110,7 +141,9 @@ def _handle_post(service, parts: list[str], path: str,
         return _error(429, str(full), retry_after=1)
     except ValueError as error:
         return _error(400, str(error))
-    return ApiResult(202, {"job": job.summary()})
+    # a job answered from the report store is already done
+    return ApiResult(200 if job.status == STATUS_DONE else 202,
+                     {"job": job.summary()})
 
 
 def _get_job(service, job_id: str, view: str | None) -> ApiResult:

@@ -22,11 +22,11 @@ from repro.core.pipeline import pipeline_runs
 from repro.corpus import ProgramBuilder, build_app, build_libc
 from repro.service import (
     AnalysisService,
+    AsyncServiceServer,
     JobQueue,
     QueueFull,
     ServiceClient,
     ServiceError,
-    ServiceServer,
 )
 from repro.x86 import EAX, RDI
 
@@ -56,7 +56,7 @@ def server(tmp_path):
     service = AnalysisService(
         str(tmp_path / "state"), workers=2, queue_size=8,
     )
-    srv = ServiceServer(service, port=0)
+    srv = AsyncServiceServer(service, port=0)
     srv.start()
     yield srv
     srv.stop()
@@ -192,11 +192,239 @@ class TestWarmPath:
         assert store.counters("report")["misses"] == 2
 
 
+class TestSubmitTimeServing:
+    """A warm submission is answered by the POST itself: the job comes
+    back ``done`` from the report store, and nothing is queued."""
+
+    def _warm(self, client, path):
+        cold = client.wait(client.submit_path(path)["id"])
+        assert cold["metrics"]["from_cache"] is False
+        return cold
+
+    @staticmethod
+    def _post(client, spec):
+        """(HTTP status, job summary) of one raw submission."""
+        import http.client
+        import urllib.parse
+
+        conn = http.client.HTTPConnection(
+            urllib.parse.urlsplit(client.base_url).netloc, timeout=10.0,
+        )
+        try:
+            conn.request("POST", "/v1/jobs", body=json.dumps(spec),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())["job"]
+        finally:
+            conn.close()
+
+    def _assert_served(self, status, job):
+        assert status == 200
+        assert job["status"] == "done"
+        assert job["metrics"]["from_cache"] is True
+        assert job["metrics"]["batch_size"] == 0
+        assert job["metrics"]["queue_seconds"] == 0
+        assert job["started_at"] == job["submitted_at"]
+        assert job["finished_at"] >= job["started_at"]
+
+    def test_path_inline_and_renamed_copy_served_by_the_post(
+        self, client, demo_binary, tmp_path,
+    ):
+        import base64
+
+        cold = self._warm(client, demo_binary)
+        with open(demo_binary, "rb") as f:
+            data = f.read()
+        renamed = str(tmp_path / "renamed-copy")
+        with open(renamed, "wb") as f:
+            f.write(data)
+        runs_before = pipeline_runs()
+        specs = [
+            {"kind": "analyze", "path": demo_binary},
+            {"kind": "analyze", "name": "uploaded",
+             "binary_b64": base64.b64encode(data).decode()},
+            {"kind": "analyze", "path": renamed},
+        ]
+        for spec, name in zip(specs, ["svc-demo", "uploaded", "renamed-copy"]):
+            status, job = self._post(client, spec)
+            self._assert_served(status, job)
+            report = client.report(job["id"])
+            # an inline upload is named after its spool file
+            assert report["binary"].endswith(name)
+            assert report["syscalls"] == client.report(cold["id"])["syscalls"]
+        assert pipeline_runs() == runs_before
+        queue = client.stats()["queue"]
+        assert queue["served_at_submit"] == 3
+        assert queue["submitted"] == 4
+
+    def test_served_report_is_byte_identical_to_dispatcher_served(
+        self, tmp_path, demo_binary,
+    ):
+        service = AnalysisService(str(tmp_path / "state"))
+        srv = AsyncServiceServer(service, port=0)
+        srv.start()
+        try:
+            client = ServiceClient(srv.url)
+            self._warm(client, demo_binary)
+            # bypass submit-time serving: the dispatcher's fleet phase 1
+            # serves this one from the store
+            queued = service.queue.submit("analyze", {"path": demo_binary})
+            dispatched = client.wait(queued.id)
+            assert dispatched["metrics"]["from_cache"] is True
+            assert dispatched["metrics"]["batch_size"] >= 1
+            status, served = self._post(
+                client, {"kind": "analyze", "path": demo_binary},
+            )
+            self._assert_served(status, served)
+            assert (json.dumps(client.report(served["id"]))
+                    == json.dumps(client.report(queued.id)))
+        finally:
+            srv.stop()
+
+    def test_hit_admitted_with_dispatcher_stopped_and_queue_full(
+        self, tmp_path, demo_binary,
+    ):
+        state = str(tmp_path / "state")
+        warmup = AsyncServiceServer(AnalysisService(state), port=0)
+        warmup.start()
+        try:
+            self._warm(ServiceClient(warmup.url), demo_binary)
+        finally:
+            warmup.stop()
+
+        service = AnalysisService(state, queue_size=1)
+        srv = AsyncServiceServer(service, port=0)
+        srv.start(executor=False)
+        try:
+            client = ServiceClient(srv.url, retries=0)
+            other = str(tmp_path / "other")
+            _demo_program("other", nr=102).save(other)
+            assert client.submit_path(other)["status"] == "queued"
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_path(other)
+            assert excinfo.value.status == 429
+            status, job = self._post(
+                client, {"kind": "analyze", "path": demo_binary},
+            )
+            self._assert_served(status, job)
+            assert client.stats()["queue"]["depth"] == 1
+        finally:
+            srv.stop()
+
+    def test_swapped_library_misses_and_reanalyzes(self, client, tmp_path):
+        bundle = build_app("sqlite")
+        binpath = str(tmp_path / "sqlite-like")
+        bundle.program.save(binpath)
+        libdir = tmp_path / "libs"
+        libdir.mkdir()
+        libc = str(libdir / "libc.so")
+        build_libc().save(libc)
+        cold = client.wait(client.submit_path(binpath, libdir=str(libdir))["id"])
+        assert client.report(cold["id"])["success"] is True
+        warm = client.submit_path(binpath, libdir=str(libdir))
+        assert warm["status"] == "done"
+
+        with open(libc, "ab") as f:
+            f.write(b"\0different library bytes\0")
+        runs_before = pipeline_runs()
+        swapped = client.submit_path(binpath, libdir=str(libdir))
+        assert swapped["status"] == "queued"
+        swapped = client.wait(swapped["id"])
+        assert swapped["metrics"]["from_cache"] is False
+        assert pipeline_runs() > runs_before
+        assert client.report(swapped["id"])["success"] is True
+
+    def test_client_supplied_digest_is_ignored(self, client, demo_binary,
+                                                tmp_path):
+        import hashlib
+
+        self._warm(client, demo_binary)
+        with open(demo_binary, "rb") as f:
+            cached_digest = hashlib.sha256(f.read()).hexdigest()
+        other = str(tmp_path / "other")
+        _demo_program("other", nr=102).save(other)
+        status, job = self._post(client, {
+            "kind": "analyze", "path": other,
+            "content_sha256": cached_digest,
+        })
+        assert status == 202 and job["status"] == "queued"
+        assert "content_sha256" not in job["spec"]
+        done = client.wait(job["id"])
+        assert done["metrics"]["from_cache"] is False
+        syscalls = client.report(job["id"])["syscalls"]
+        assert 102 in syscalls and 39 not in syscalls
+
+    def test_stale_hash_index_degrades_to_a_queued_cache_hit(
+        self, tmp_path, demo_binary,
+    ):
+        """A report another store instance wrote is unknown to this
+        store's hash index: the submission queues, and the dispatcher's
+        name-keyed lookup serves it from the store."""
+        from repro.core.artifacts import ArtifactStore
+        from repro.core.fleet import FleetAnalyzer
+        from repro.loader.image import LoadedImage
+
+        service = AnalysisService(str(tmp_path / "state"))
+        srv = AsyncServiceServer(service, port=0)
+        srv.start()
+        try:
+            client = ServiceClient(srv.url)
+            other = str(tmp_path / "other")
+            _demo_program("other", nr=102).save(other)
+            self._warm(client, other)  # builds this store's hash index
+
+            second = ArtifactStore(service.cache_dir)
+            FleetAnalyzer(artifact_store=second).analyze_images(
+                [LoadedImage.from_path(demo_binary)]
+            )
+            runs_before = pipeline_runs()
+            job = client.submit_path(demo_binary)
+            assert job["status"] == "queued"
+            done = client.wait(job["id"])
+            assert done["metrics"]["from_cache"] is True
+            assert done["metrics"]["batch_size"] >= 1
+            assert pipeline_runs() == runs_before
+            assert set(client.report(job["id"])["syscalls"]) == {39, 60}
+        finally:
+            srv.stop()
+
+    def test_overwritten_entry_never_serves_a_wrong_report(
+        self, tmp_path, demo_binary,
+    ):
+        """This store's index still maps a binary's hash to a name whose
+        entry another store has since overwritten with another binary's
+        report: the lookup refuses it, and the binary is re-analyzed."""
+        from repro.core.artifacts import ArtifactStore
+        from repro.core.fleet import FleetAnalyzer
+        from repro.loader.image import LoadedImage
+
+        service = AnalysisService(str(tmp_path / "state"))
+        srv = AsyncServiceServer(service, port=0)
+        srv.start()
+        try:
+            client = ServiceClient(srv.url)
+            self._warm(client, demo_binary)
+            impostor = tmp_path / "impostor"
+            impostor.mkdir()
+            _demo_program("svc-demo", nr=102).save(str(impostor / "svc-demo"))
+            FleetAnalyzer(
+                artifact_store=ArtifactStore(service.cache_dir),
+            ).analyze_images([LoadedImage.from_path(str(impostor / "svc-demo"))])
+
+            job = client.submit_path(demo_binary)
+            assert job["status"] == "queued"
+            done = client.wait(job["id"])
+            assert done["metrics"]["from_cache"] is False
+            assert set(client.report(job["id"])["syscalls"]) == {39, 60}
+        finally:
+            srv.stop()
+
+
 class TestBatchIntegrity:
     def _stopped_server(self, tmp_path):
         service = AnalysisService(str(tmp_path / "state"), workers=4,
                                   queue_size=16)
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start(executor=False)  # everything lands in one batch
         return service, srv
 
@@ -255,7 +483,7 @@ class TestIncrementalService:
             str(tmp_path / "state"), workers=1, queue_size=8,
             incremental=True,
         )
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start()
         try:
             client = ServiceClient(srv.url)
@@ -286,7 +514,7 @@ class TestIncrementalService:
 class TestBackpressure:
     def test_queue_full_returns_429(self, tmp_path, demo_binary):
         service = AnalysisService(str(tmp_path / "state"), queue_size=3)
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start(executor=False)  # nothing drains the queue
         try:
             # retries=0: this test counts *server-side* rejections, so
@@ -312,7 +540,7 @@ class TestRestartRecovery:
     def test_queued_jobs_survive_restart(self, tmp_path, demo_binary):
         state_dir = str(tmp_path / "state")
         service = AnalysisService(state_dir, queue_size=8)
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start(executor=False)
         client = ServiceClient(srv.url)
         ids = [client.submit_path(demo_binary)["id"] for __ in range(2)]
@@ -320,7 +548,7 @@ class TestRestartRecovery:
 
         revived = AnalysisService(state_dir, queue_size=8)
         assert revived.queue.stats()["recovered"] == 2
-        srv2 = ServiceServer(revived, port=0)
+        srv2 = AsyncServiceServer(revived, port=0)
         srv2.start()
         try:
             client2 = ServiceClient(srv2.url)
@@ -334,13 +562,13 @@ class TestRestartRecovery:
     def test_finished_results_survive_restart(self, tmp_path, demo_binary):
         state_dir = str(tmp_path / "state")
         service = AnalysisService(state_dir)
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start()
         client = ServiceClient(srv.url)
         job_id = client.wait(client.submit_path(demo_binary)["id"])["id"]
         srv.stop()
 
-        revived = ServiceServer(AnalysisService(state_dir), port=0)
+        revived = AsyncServiceServer(AnalysisService(state_dir), port=0)
         revived.start()
         try:
             client2 = ServiceClient(revived.url)
@@ -412,7 +640,7 @@ class TestErrorContract:
 
     def test_report_of_unfinished_job_409(self, tmp_path, demo_binary):
         service = AnalysisService(str(tmp_path / "state"))
-        srv = ServiceServer(service, port=0)
+        srv = AsyncServiceServer(service, port=0)
         srv.start(executor=False)
         try:
             client = ServiceClient(srv.url)

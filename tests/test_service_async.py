@@ -18,12 +18,21 @@ front end) over real sockets:
 * the :class:`ServiceClient` robustness contract — a daemon that
   accepts connections but never answers raises after ``read_timeout``
   instead of blocking forever, and 429s are retried with bounded
-  backoff.
+  backoff;
+* the ``GET /v1/jobs/<id>?wait=S`` long-poll — answered as soon as the
+  job finishes, or after S (capped), with a 400 for a malformed S, and
+  without holding a thread per waiter;
+* the :meth:`ServiceClient.wait` contract — one :meth:`job` call before
+  any waiting and one after each ``poll`` sleep, no sleep against a
+  server that holds long-polls, and ``poll`` sleeps (never spinning)
+  against one that ignores ``?wait=``.
 """
 
 import base64
+import json
 import os
 import socket
+import statistics
 import threading
 import time
 
@@ -38,6 +47,8 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import client as client_module
+from repro.service import routes
 from repro.service.client import MAX_BACKOFF_SECONDS
 from repro.x86 import EAX, RDI
 
@@ -304,6 +315,202 @@ class TestFleetReportMerge:
         assert len(merged.entries) == len(single.entries)
 
 
+@pytest.fixture()
+def stopped_server(tmp_path):
+    """A daemon whose dispatcher is stopped: jobs queue and stay queued
+    until the test runs ``service.step`` itself."""
+    service = AnalysisService(str(tmp_path / "state"), queue_size=64)
+    server = AsyncServiceServer(service, port=0)
+    server.start(executor=False)
+    yield server
+    server.stop()
+
+
+def _write(tmp_path, name: str, data: bytes) -> str:
+    path = str(tmp_path / name)
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
+
+
+class TestLongPoll:
+    def test_answers_within_milliseconds_of_the_finish(
+        self, tmp_path, payloads, stopped_server,
+    ):
+        service = stopped_server.service
+        client = ServiceClient(stopped_server.url)
+        lags = []
+        for nr in (0, 1, 2):
+            job = client.submit_path(_write(tmp_path, f"lp-{nr}", payloads[nr]))
+            finisher = threading.Timer(0.2, service.step, kwargs={"timeout": 5.0})
+            finisher.start()
+            doc = client.request("GET", f"/v1/jobs/{job['id']}?wait=5")["job"]
+            answered = time.time()
+            finisher.join()
+            assert doc["status"] == "done"
+            lags.append(answered - doc["finished_at"])
+        # a 50 ms sleep-poll would lag 25 ms on average and up to 50 ms
+        assert statistics.median(lags) < 0.025, lags
+
+    def test_returns_the_unfinished_job_after_s(self, tmp_path, payloads,
+                                                stopped_server):
+        client = ServiceClient(stopped_server.url)
+        job = client.submit_path(_write(tmp_path, "lp", payloads[0]))
+        started = time.monotonic()
+        doc = client.request("GET", f"/v1/jobs/{job['id']}?wait=0.3")["job"]
+        elapsed = time.monotonic() - started
+        assert doc["status"] == "queued"
+        assert 0.3 <= elapsed < 2.0
+
+    def test_wait_is_capped(self, tmp_path, payloads, stopped_server,
+                            monkeypatch):
+        assert routes.long_poll("GET", "/v1/jobs/j?wait=1e9") == (
+            "j", routes.MAX_WAIT_SECONDS)
+        monkeypatch.setattr(routes, "MAX_WAIT_SECONDS", 0.3)
+        client = ServiceClient(stopped_server.url)
+        job = client.submit_path(_write(tmp_path, "lp", payloads[0]))
+        started = time.monotonic()
+        doc = client.request("GET", f"/v1/jobs/{job['id']}?wait=3600")["job"]
+        assert doc["status"] == "queued"
+        assert time.monotonic() - started < 2.0
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "-1", "nan", "inf", "", "1s"],
+    )
+    def test_bad_wait_is_400(self, tmp_path, payloads, stopped_server, value):
+        client = ServiceClient(stopped_server.url)
+        job = client.submit_path(_write(tmp_path, "lp", payloads[0]))
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("GET", f"/v1/jobs/{job['id']}?wait={value}")
+        assert excinfo.value.status == 400
+        assert "wait" in excinfo.value.message
+
+    def test_unknown_job_is_404_at_once(self, stopped_server):
+        client = ServiceClient(stopped_server.url)
+        started = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("GET", "/v1/jobs/job-999999?wait=5")
+        assert excinfo.value.status == 404
+        assert time.monotonic() - started < 2.0
+
+    def test_waiters_beyond_the_thread_pool_do_not_block_requests(
+        self, tmp_path, payloads, stopped_server,
+    ):
+        """More long-polls than ``asyncio.to_thread`` has threads: none
+        of them holds a thread, so health checks and submissions stay
+        prompt while they wait."""
+        client = ServiceClient(stopped_server.url)
+        job = client.submit_path(_write(tmp_path, "lp", payloads[0]))
+        pool = min(32, (os.cpu_count() or 1) + 4)
+        results: list[str] = []
+        lock = threading.Lock()
+
+        def waiter() -> None:
+            doc = ServiceClient(stopped_server.url).request(
+                "GET", f"/v1/jobs/{job['id']}?wait=3")["job"]
+            with lock:
+                results.append(doc["status"])
+
+        threads = [threading.Thread(target=waiter, daemon=True)
+                   for __ in range(pool + 8)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.5)  # every waiter is parked on the server
+        started = time.monotonic()
+        assert client.health()["status"] == "ok"
+        other = client.submit_path(_write(tmp_path, "lp2", payloads[1]))
+        assert other["status"] == "queued"
+        assert time.monotonic() - started < 1.0
+        for thread in threads:
+            thread.join(10.0)
+        assert results == ["queued"] * len(threads)
+
+
+class TestWaitContract:
+    class CountingClient(ServiceClient):
+        """Overrides ``job`` the way a caller counting polls would."""
+
+        calls = 0
+
+        def job(self, job_id: str) -> dict:
+            self.calls += 1
+            return super().job(job_id)
+
+    def test_override_of_job_works_and_cold_wait_never_sleeps(
+        self, tmp_path, payloads, stopped_server, monkeypatch,
+    ):
+        sleeps: list[float] = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        client = self.CountingClient(stopped_server.url)
+        job = client.submit_path(_write(tmp_path, "wc", payloads[2]))
+        finisher = threading.Timer(
+            0.2, stopped_server.service.step, kwargs={"timeout": 5.0},
+        )
+        finisher.start()
+        done = client.wait(job["id"])
+        finisher.join()
+        assert done["status"] == "done"
+        assert client.calls == 1
+        assert sleeps == []
+
+    def test_warm_wait_is_one_job_call_and_no_sleep(
+        self, tmp_path, payloads, stopped_server, monkeypatch,
+    ):
+        path = _write(tmp_path, "wc", payloads[3])
+        client = self.CountingClient(stopped_server.url)
+        cold = client.submit_path(path)
+        stopped_server.service.step(timeout=5.0)
+        assert client.wait(cold["id"])["status"] == "done"
+        sleeps: list[float] = []
+        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
+        warm = client.submit_path(path)
+        assert warm["status"] == "done"
+        client.calls = 0
+        done = client.wait(warm["id"])
+        assert done["metrics"]["from_cache"] is True
+        assert client.calls == 1
+        assert sleeps == []
+
+    def test_server_ignoring_wait_gets_poll_sleeps_and_a_timeout(self):
+        """The flaky fake server answers every request at once with a
+        queued job, ``?wait=`` or not: ``wait`` sleeps ``poll`` between
+        ``job`` calls, never spins, and still raises at its timeout."""
+        flaky = _FlakyServer(reject_first=1, body=json.dumps(
+            {"job": {"id": "job-000001", "status": "queued"}}).encode())
+        client = self.CountingClient(f"http://127.0.0.1:{flaky.port}",
+                                     timeout=5.0, backoff=0.01)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait("job-000001", timeout=0.5, poll=0.05)
+            elapsed = time.monotonic() - started
+        finally:
+            flaky.close()
+        assert excinfo.value.status == 0
+        assert "still queued" in excinfo.value.message
+        assert 0.5 <= elapsed < 2.0
+        # one 429 + one ignored long-poll + job() calls 50 ms apart
+        assert 1 + 0.5 / 0.05 - 3 <= client.calls <= 1 + 0.5 / 0.05 + 1
+        assert flaky.requests == client.calls + 2
+
+    def test_hung_server_wait_raises_after_read_timeout(self):
+        hung = _HungServer()
+        client = ServiceClient(
+            f"http://127.0.0.1:{hung.port}", read_timeout=0.3,
+            connect_timeout=2.0, retries=0,
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait("job-000001", timeout=60.0)
+            elapsed = time.monotonic() - started
+        finally:
+            hung.close()
+        assert excinfo.value.status == 0
+        assert "timed out" in str(excinfo.value)
+        assert elapsed < 5.0
+
+
 class _HungServer:
     """Accepts TCP connections and never sends a byte."""
 
@@ -335,10 +542,12 @@ class _HungServer:
 
 
 class _FlakyServer:
-    """Answers 429 (with Retry-After) n times, then 200."""
+    """Answers 429 (with Retry-After) n times, then 200 with ``body``
+    (whatever the request, ``?wait=`` included)."""
 
-    def __init__(self, reject_first: int):
+    def __init__(self, reject_first: int, body: bytes = b'{"ok": true}'):
         self.reject_first = reject_first
+        self.body = body
         self.requests = 0
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
@@ -367,7 +576,7 @@ class _FlakyServer:
                         "Connection: close\r\n\r\n"
                     )
                 else:
-                    body = b'{"ok": true}'
+                    body = self.body
                     head = (
                         "HTTP/1.1 200 OK\r\n"
                         "Content-Type: application/json\r\n"

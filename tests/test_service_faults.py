@@ -11,7 +11,9 @@ story end to end:
 * the expired-lease double-claim race resolves to exactly-one
   execution: the claim-file ``O_EXCL`` arbitration plus the
   ``owns_lease`` persistence guard mean zero lost and zero
-  double-executed jobs.
+  double-executed jobs;
+* a long-poll on the front end sees a job that a worker process
+  finishes, though no finish is announced across processes.
 
 Worker crashes use real ``spawn`` processes and ``SIGKILL`` — no
 cooperative shutdown — so the recovery path exercised here is the one
@@ -181,6 +183,60 @@ class TestWorkerCrash:
         _wait(reclaimed, timeout=10.0, message="expired lease reclaim")
         assert queue_b.counters["reclaimed"] >= 1
         assert queue_b.get(job.id).metrics["worker"] == "medic"
+
+
+class TestSharedLongPoll:
+    def test_waiter_sees_a_job_a_worker_finishes(self, tmp_path):
+        binary = _build_binary(str(tmp_path / "app"))
+        service = _front_end(tmp_path / "state", queue_size=8)
+        server = AsyncServiceServer(service, port=0)
+        server.start(executor=False)
+        workers = []
+        try:
+            client = ServiceClient(server.url, timeout=60.0)
+            job = client.submit_path(binary)
+            assert job["status"] == "queued"
+            workers = spawn_workers(
+                str(tmp_path / "state"), 1, overrides={"poll": 0.05},
+            )
+            doc = client.request(
+                "GET", f"/v1/jobs/{job['id']}?wait=30")["job"]
+            answered = time.time()
+            assert doc["status"] == "done"
+            assert doc["metrics"]["worker"].startswith("worker-")
+            # re-read at a bounded interval, not at the end of the wait
+            assert answered - doc["finished_at"] < 1.0
+        finally:
+            for process in workers:
+                process.terminate()
+            server.stop()
+
+
+    def test_peer_finish_racing_a_persist_is_seen(self, tmp_path,
+                                                  monkeypatch):
+        """A worker finishes a job between the front end's rename of its
+        own write and its bookkeeping of that write: the front end must
+        still read the finished record, or a waiter never sees it."""
+        from repro.service import jobs as jobs_module
+
+        front = JobQueue(str(tmp_path / "jobs"), shared=True)
+        peer = JobQueue(str(tmp_path / "jobs"), shared=True)
+        real_replace = os.replace
+        racing = []
+
+        def replace_then_peer_finishes(src, dst):
+            real_replace(src, dst)
+            if racing:
+                job_id = racing.pop()
+                peer.finish(peer._load_job_file(job_id))
+
+        monkeypatch.setattr(jobs_module.os, "replace",
+                            replace_then_peer_finishes)
+        job = front.submit("analyze", {"path": "/x"})
+        racing.append(job.id)
+        front.persist(job)  # any front-end write of the record
+        assert peer.get(job.id).status == STATUS_DONE
+        assert front.get(job.id).status == STATUS_DONE
 
 
 class TestCorruptState:
