@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 SMOKE_DIR := $(or $(TMPDIR),/tmp)/bside-smoke
 
-.PHONY: test bench bench-gate eval-gate bench-service-scale service-gate incremental-gate lint smoke smoke-service docs-check clean
+.PHONY: test bench bench-gate eval-gate bench-service-scale service-gate incremental-gate perfbench-selftest lint smoke smoke-service docs-check clean
 
 ## tier-1: the suite the driver enforces (ROADMAP.md)
 test:
@@ -59,6 +59,15 @@ service-gate:
 ## against BENCH_incremental.json); see docs/performance.md.
 incremental-gate:
 	$(PYTHON) tools/incremental_gate.py $(INCREMENTAL_GATE_FLAGS)
+
+## repository-benchmark self-tests (perfbench/, ~15 s): BENCHMARK.json
+## matches the metric tables, each workload runs small traced and
+## untraced with equal outputs, and every function the tracer patches
+## (e.g. build_cfg, scan_image, detect_wrapper as attributes of
+## repro.core.pipeline) still exists there, so a rename fails here
+## before it silently zeroes a benchmark layer
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 ## fast syntax/bytecode check (no third-party linters in this environment)
 lint:

@@ -10,11 +10,10 @@ external symbol edges immediately.
 
 The stages are exposed as standalone helpers (:func:`compute_leaders`,
 :func:`carve_blocks`, :func:`assign_functions`, :func:`add_direct_edges`)
-because the function-granular incremental assembler
-(:class:`repro.core.pipeline.IncrementalCfgRecoveryPass`) re-runs the
-carve/assign/edge stages over a leader set stitched from cached
-per-function products — sharing the exact code paths is what makes an
-incremental CFG byte-identical to a cold one.
+because incremental runs of :class:`repro.core.pipeline.CfgRecoveryPass`
+re-run the carve/assign/edge stages over a leader set stitched from
+cached per-function products — sharing the exact code paths is what
+makes an incremental CFG byte-identical to a cold one.
 """
 
 from __future__ import annotations

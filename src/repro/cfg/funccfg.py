@@ -1,7 +1,7 @@
 """Per-function CFG products: the ``funccfg`` artifact kind's payloads.
 
-The incremental assembler (:class:`repro.core.pipeline.IncrementalCfgRecoveryPass`)
-splits CFG recovery into cacheable per-function units.  This module owns
+On incremental runs, :class:`repro.core.pipeline.CfgRecoveryPass`
+assembles the CFG from cacheable per-function units.  This module owns
 the three pure pieces of that machinery:
 
 * :func:`scan_image` — one pass over the (always fresh) whole-image
@@ -19,7 +19,7 @@ the three pure pieces of that machinery:
   transitive callers: the dependency cone
   (:func:`repro.cfg.partition.FunctionPartition.dependency_cone`).
 * :func:`build_product` / :func:`validate_product` — the cached payload
-  (block starts + a local reachability summary) and its miss-not-crash
+  (block starts plus the scan facts that validate them) and its miss-not-crash
   validation: any shape mismatch, stale field, or changed cross-region
   leader set degrades that one region to a cold re-carve.
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 from ..loader.image import LoadedImage
 from ..x86.insn import _TERMINATOR_MNEMONICS, Immediate, Instruction
-from .model import CFG, FLOW_KINDS
 from .partition import FunctionPartition
 from .signatures import entry_signature, signature_doc
 
@@ -66,7 +65,7 @@ class RegionScan:
 
 @dataclass(slots=True)
 class ImageScan:
-    """Everything the incremental pass needs besides the artifact store."""
+    """Everything incremental CFG assembly needs besides the store."""
 
     partition: FunctionPartition
     #: region start -> its :class:`RegionScan`
@@ -293,7 +292,6 @@ def _closure_hashes(
 
 
 def build_product(
-    cfg: CFG,
     block_addrs: list[int],
     rs: RegionScan,
     extra_leaders: set[int],
@@ -315,7 +313,6 @@ def build_product(
         "n_insns": rs.n_insns,
         "extra_leaders": sorted(extra_leaders),
         "block_starts": block_starts,
-        "local_reachable": _local_reachable(cfg, rs.start, rs.end),
         "arg_signature": signature_doc(entry_sig),
     }
 
@@ -352,23 +349,3 @@ def validate_product(
             return None
     return block_starts
 
-
-def _local_reachable(cfg: CFG, start: int, end: int) -> list[int]:
-    """Blocks reachable from the region entry via intra-region flow.
-
-    This is the per-function reachability summary the tentpole caches;
-    whole-program reachability still runs globally downstream, so the
-    summary is advisory (profiling, future directed search) rather than
-    load-bearing for report content.
-    """
-    if start not in cfg.blocks:
-        return []
-    seen = {start}
-    stack = [start]
-    while stack:
-        for edge in cfg.successors(stack.pop(), kinds=FLOW_KINDS):
-            dst = edge.dst
-            if start <= dst < end and dst not in seen and dst in cfg.blocks:
-                seen.add(dst)
-                stack.append(dst)
-    return sorted(seen)

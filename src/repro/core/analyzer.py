@@ -359,10 +359,12 @@ class BSideAnalyzer:
         report.bbs_explored = ctx.bbs_explored
         report.symex_steps = ctx.symex_steps
         report.sites_examined = ctx.sites_examined
-        report.functions_total = ctx.functions_total
-        report.functions_reanalyzed = ctx.functions_reanalyzed
-        report.sites_total = ctx.sites_total
-        report.sites_reexecuted = ctx.sites_reexecuted
+        state = ctx.incremental
+        if state is not None:
+            report.functions_total = len(state.scan.partition)
+            report.functions_reanalyzed = state.reanalyzed
+            report.sites_total = state.anchors
+            report.sites_reexecuted = state.anchors - state.replayed
         return report, ctx
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ gtruth    a binary's emulated ground-truth syscall set (§5.1),
           keyed by the input-vector suite it was traced under
 funccfg   an image's per-region CFG products table: region start →
           the region's Merkle *closure* hash + its product (block
-          starts + local reachability), see :mod:`repro.cfg.funccfg`
+          starts), see :mod:`repro.cfg.funccfg`
 funcid    an image's per-region identification products table:
           region start → the combined callee-closure + caller-cone
           hash + its product (syscall sites, wrapper classifications,
@@ -57,6 +57,8 @@ import json
 import os
 import re
 import threading
+import time
+from dataclasses import dataclass, field
 
 #: Bump when analyzer or envelope changes invalidate previous artifacts.
 #: (1 = PR 1's interface-only envelope; 2 = the multi-kind envelope with
@@ -77,6 +79,27 @@ ARTIFACT_KINDS: dict[str, str] = {
 }
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._+-]")
+
+#: :meth:`ArtifactStore.find_name` lists the directory at most once per
+#: this interval (a listing of a few thousand entries costs milliseconds,
+#: a share of a cold service submission).  A directory mtime younger than
+#: this at listing time may share its timestamp tick with a write that
+#: lands after the listing, so it is not trusted to mean "nothing new".
+_RELIST_NS = 250_000_000
+
+
+@dataclass(slots=True)
+class _HashIndex:
+    """One kind's content-hash index (:meth:`ArtifactStore.find_name`)."""
+
+    #: content hash -> entry name
+    names: dict[str, str] = field(default_factory=dict)
+    #: entry filenames already read (or written by this store)
+    seen: set[str] = field(default_factory=set)
+    #: cache-directory mtime at the last trusted listing
+    mtime_ns: int | None = None
+    #: wall-clock time of the last listing
+    listed_ns: int = 0
 
 
 def _safe_filename(name: str, kind: str) -> str:
@@ -122,8 +145,8 @@ class ArtifactStore:
             kind: {"hits": 0, "misses": 0, "invalidations": 0, "writes": 0}
             for kind in ARTIFACT_KINDS
         }
-        #: lazy per-kind index: kind -> {content_hash: entry name}
-        self._hash_index: dict[str, dict[str, str]] = {}
+        #: lazy per-kind content-hash index, see :meth:`find_name`
+        self._hash_index: dict[str, _HashIndex] = {}
 
     # ------------------------------------------------------------------
     # Core get/put
@@ -192,8 +215,11 @@ class ArtifactStore:
             f.write(data)
         os.replace(tmp, path)  # atomic: readers never see a torn write
         self._counters[kind]["writes"] += 1
-        if content_hash and kind in self._hash_index:
-            self._hash_index[kind][content_hash] = name
+        index = self._hash_index.get(kind)
+        if index is not None:
+            index.seen.add(os.path.basename(path))
+            if content_hash:
+                index.names[content_hash] = name
 
     def _read(
         self,
@@ -284,24 +310,44 @@ class ArtifactStore:
         the cache (the service serves warm resubmissions regardless of
         the file name the client chose).  The caller still goes through
         :meth:`get` with the returned name, so fingerprint and dependency
-        validation are never bypassed.  Backed by a lazy per-kind index
-        rebuilt by scanning the entry envelopes once and kept current by
-        :meth:`put`; invalidation drops the index conservatively.
+        validation are never bypassed.
+
+        Backed by a lazy per-kind index that :meth:`put` keeps current and
+        invalidation drops.  Entries written by other processes sharing
+        the directory (service worker processes) are picked up on a miss:
+        when the directory's mtime moved since the last listing, and that
+        listing is at least :data:`_RELIST_NS` old, only the envelopes of
+        entry files not yet seen are read.  A miss therefore costs a
+        ``stat`` plus at most a ``listdir`` per interval.  An entry
+        another writer overwrites in place keeps the hash first read for
+        it; a lookup under that name still validates the hash, so this
+        only costs a miss here.
         """
         self._payload_field(kind)  # validate the kind name
-        index = self._hash_index.get(kind)
-        if index is None:
-            index = {}
-            for filename in self._entry_files(kind):
-                try:
-                    with open(os.path.join(self.cache_dir, filename)) as f:
-                        envelope = json.load(f)
-                    if envelope.get("kind") == kind and envelope["content_hash"]:
-                        index[envelope["content_hash"]] = envelope["name"]
-                except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                    continue
-            self._hash_index[kind] = index
-        return index.get(content_hash)
+        index = self._hash_index.setdefault(kind, _HashIndex())
+        name = index.names.get(content_hash)
+        if name is not None:
+            return name
+        now = time.time_ns()
+        if now - index.listed_ns < _RELIST_NS:
+            return None
+        mtime = os.stat(self.cache_dir).st_mtime_ns
+        if mtime == index.mtime_ns:
+            return None
+        index.listed_ns = now
+        index.mtime_ns = mtime if now - mtime >= _RELIST_NS else None
+        for filename in self._entry_files(kind):
+            if filename in index.seen:
+                continue
+            index.seen.add(filename)
+            try:
+                with open(os.path.join(self.cache_dir, filename)) as f:
+                    envelope = json.load(f)
+                if envelope.get("kind") == kind and envelope["content_hash"]:
+                    index.names[envelope["content_hash"]] = envelope["name"]
+            except (OSError, json.JSONDecodeError, KeyError, TypeError):
+                continue
+        return index.names.get(content_hash)
 
     # ------------------------------------------------------------------
     # Invalidation / pruning

@@ -1,9 +1,13 @@
-"""Per-function identification products: the ``funcid`` artifact kind.
+"""The incremental tier's per-analysis state: ``funccfg`` and ``funcid``.
 
-PR 7 made ``cfg-recovery`` function-granular; this module extends the
-same design through the symex stage.  One ``funcid`` record per function
-region — all of an image's records held in one
-:class:`~repro.core.artifacts.ProductTable` — caches everything the
+``bside analyze --incremental`` runs the same passes as a cold analysis;
+:class:`IncrementalState` is the one extra input they consult.  It holds
+the whole-image :class:`~repro.cfg.funccfg.ImageScan` and the image's two
+:class:`~repro.core.artifacts.ProductTable` s: ``funccfg`` (per-region
+block starts, keyed by the Merkle callee-closure hash; see
+:mod:`repro.cfg.funccfg`) and ``funcid``, described below.
+
+One ``funcid`` record per function region caches everything the
 identification stages concluded about the region:
 
 * the region's discovered **syscall sites** (validated against a live
@@ -25,7 +29,7 @@ call-site identification).  The ``funcid`` key therefore folds two
 Merkle digests computed by the same Tarjan condensation
 (:func:`repro.cfg.funccfg._closure_hashes`):
 
-* the **callee closure hash** (PR 7's key), and
+* the **callee closure hash** (the ``funccfg`` key), and
 * the **caller-cone digest** — the same machinery run over the
   *reversed* reference graph, folding the body hashes of every
   transitive caller.
@@ -50,59 +54,68 @@ from dataclasses import dataclass, field
 from ..cfg.funccfg import ImageScan
 from ..cfg.model import CFG
 from ..cfg.signatures import signature_doc
-from .artifacts import ProductTable
+from .artifacts import ArtifactStore, ProductTable, ShardedArtifactStore
 from .identify import SiteIdentification
 from .sites import SyscallSite
 from .wrappers import WrapperInfo, wrapper_from_record, wrapper_record
 
 
 @dataclass(slots=True)
-class _RegionCache:
-    """One region's validated cached payload, indexed for replay."""
+class _RegionRecords:
+    """One region's records: a validated cached payload indexed for
+    replay, or what this run concluded about the region (for re-store)."""
 
-    #: func entry -> (entry, WrapperInfo | None), pre-parsed
-    wrappers: dict[int, WrapperInfo | None]
-    #: (block, insn) -> raw plain-site record
-    plain: dict[tuple[int, int], dict]
-    #: (call block, wrapper entry) -> raw wrapper-call record
-    calls: dict[tuple[int, int], dict]
-
-
-@dataclass(slots=True)
-class _RegionNotes:
-    """What this run concluded about one region (for re-store)."""
-
+    #: func entry -> WrapperInfo | None (confirmed not a wrapper)
     wrappers: dict[int, WrapperInfo | None] = field(default_factory=dict)
+    #: (block, insn) -> raw plain-site record
     plain: dict[tuple[int, int], dict] = field(default_factory=dict)
+    #: (call block, wrapper entry) -> raw wrapper-call record
     calls: dict[tuple[int, int], dict] = field(default_factory=dict)
 
 
-class FuncidState:
-    """Per-analysis carrier of the funcid probe/replay/re-store cycle.
+class IncrementalState:
+    """Per-analysis carrier of the incremental probe/replay/re-store cycle.
 
-    Created by the incremental ``site-discovery`` pass (which probes the
-    store), consulted by ``wrapper-detection`` (classification replay)
-    and ``identification`` (record replay + live-work collection), and
-    flushed back to the store at the end of ``identification``.
+    Created by ``cfg-recovery`` on an incremental run with an artifact
+    store bound (``AnalysisContext.incremental`` stays ``None`` on cold
+    runs and library interface builds), which also replays and re-stores
+    the ``funccfg`` table through it.  ``site-discovery`` probes the
+    ``funcid`` table, ``wrapper-detection`` replays classifications,
+    and ``identification`` replays records, then writes the table back
+    (:meth:`flush`).
     """
 
     __slots__ = (
-        "scan", "table", "sites_by_region", "cached", "notes", "dirty",
+        "scan", "funccfg", "funcid", "sites_by_region", "cached", "notes",
+        "dirty", "reanalyzed", "anchors", "replayed",
     )
 
-    def __init__(self, scan: ImageScan, table: ProductTable):
+    def __init__(
+        self,
+        scan: ImageScan,
+        store: ArtifactStore | ShardedArtifactStore,
+        name: str,
+        fingerprint: str,
+    ):
         self.scan = scan
-        #: the image's ``funcid`` product table
-        self.table = table
+        self.funccfg = ProductTable(store, "funccfg", name, fingerprint)
+        self.funcid = ProductTable(store, "funcid", name, fingerprint)
         self.sites_by_region: dict[int, list[SyscallSite]] = {}
         #: region start -> validated cached payload
-        self.cached: dict[int, _RegionCache] = {}
+        self.cached: dict[int, _RegionRecords] = {}
         #: region start -> records collected this run
-        self.notes: dict[int, _RegionNotes] = {}
+        self.notes: dict[int, _RegionRecords] = {}
         #: regions whose cached payload must be rewritten even if the
         #: record key sets end up identical (an individual record failed
         #: validation and was re-executed live)
         self.dirty: set[int] = set()
+        #: regions ``cfg-recovery`` re-carved (``funccfg`` misses)
+        self.reanalyzed = 0
+        #: identification anchors (plain sites plus wrapper call sites;
+        #: not external-wrapper calls, which ``external-calls`` always
+        #: runs live), and the subset served by replay
+        self.anchors = 0
+        self.replayed = 0
 
     # ---- probe --------------------------------------------------------
 
@@ -110,8 +123,8 @@ class FuncidState:
         region = self.scan.partition.region_containing(addr)
         return region.start if region is not None else None
 
-    def probe(self, sites: list[SyscallSite]) -> int:
-        """Probe every aligned region's funcid record; return the hits.
+    def probe(self, sites: list[SyscallSite]) -> None:
+        """Probe every aligned region's funcid record.
 
         A hit additionally requires the cached site list to equal the
         live one — site membership depends on global reachability, which
@@ -121,12 +134,11 @@ class FuncidState:
             start = self._region_start(site.insn_addr)
             if start is not None:
                 self.sites_by_region.setdefault(start, []).append(site)
-        hits = 0
         for region in self.scan.partition:
             start = region.start
             if not self.scan.regions[start].aligned:
                 continue
-            payload = self.table.product(
+            payload = self.funcid.product(
                 start, self.scan.funcid_hashes[start],
             )
             if payload is None:
@@ -135,12 +147,10 @@ class FuncidState:
             if indexed is None:
                 continue
             self.cached[start] = indexed
-            hits += 1
-        return hits
 
     def _validate(
         self, payload: dict, start: int, end: int
-    ) -> _RegionCache | None:
+    ) -> _RegionRecords | None:
         """Index a payload for replay, or ``None`` (= per-region miss)."""
         try:
             if payload["start"] != start or payload["end"] != end:
@@ -166,19 +176,20 @@ class FuncidState:
             }
         except (KeyError, TypeError, ValueError):
             return None
-        return _RegionCache(wrappers=wrappers, plain=plain, calls=calls)
+        return _RegionRecords(wrappers=wrappers, plain=plain, calls=calls)
 
     # ---- replay -------------------------------------------------------
 
-    def cached_wrapper(
-        self, site: SyscallSite
-    ) -> tuple[bool, WrapperInfo | None]:
-        """``(found, classification)`` for the site's function, if cached."""
-        start = self._region_start(site.insn_addr)
-        cache = self.cached.get(start) if start is not None else None
+    def replay_wrapper(
+        self, site: SyscallSite, wrappers: dict[int, WrapperInfo | None]
+    ) -> bool:
+        """Copy the cached classification of the site's function into
+        ``wrappers``; ``False`` when there is none (classify it live)."""
+        cache = self.cached.get(self._region_start(site.insn_addr))
         if cache is None or site.func_entry not in cache.wrappers:
-            return False, None
-        return True, cache.wrappers[site.func_entry]
+            return False
+        wrappers[site.func_entry] = cache.wrappers[site.func_entry]
+        return True
 
     def replay_plain(self, site: SyscallSite) -> SiteIdentification | None:
         start = self._region_start(site.insn_addr)
@@ -195,6 +206,7 @@ class FuncidState:
         except (KeyError, TypeError, ValueError):
             self.dirty.add(start)
             return None
+        self.replayed += 1
         return ident
 
     def replay_call(
@@ -218,22 +230,30 @@ class FuncidState:
         except (KeyError, TypeError, ValueError):
             self.dirty.add(start)
             return None
+        self.replayed += 1
         return ident
 
     # ---- collection ---------------------------------------------------
 
-    def _notes_for(self, addr: int) -> _RegionNotes | None:
+    def _notes_for(self, addr: int) -> _RegionRecords | None:
         start = self._region_start(addr)
         if start is None:
             return None
-        return self.notes.setdefault(start, _RegionNotes())
+        return self.notes.setdefault(start, _RegionRecords())
 
-    def note_wrapper(self, site: SyscallSite, info: WrapperInfo | None) -> None:
-        notes = self._notes_for(site.insn_addr)
-        if notes is not None:
-            notes.wrappers[site.func_entry] = info
+    def note_wrappers(
+        self,
+        sites: list[SyscallSite],
+        wrappers: dict[int, WrapperInfo | None],
+    ) -> None:
+        """Record the classification of every site's function."""
+        for site in sites:
+            notes = self._notes_for(site.insn_addr)
+            if notes is not None:
+                notes.wrappers[site.func_entry] = wrappers.get(site.func_entry)
 
     def note_plain(self, site: SyscallSite, ident: SiteIdentification) -> None:
+        self.anchors += 1
         notes = self._notes_for(site.insn_addr)
         if notes is not None:
             notes.plain[(site.block_addr, site.insn_addr)] = {
@@ -244,6 +264,7 @@ class FuncidState:
     def note_call(
         self, call_block: int, info: WrapperInfo, ident: SiteIdentification
     ) -> None:
+        self.anchors += 1
         notes = self._notes_for(call_block)
         if notes is not None:
             param = list(info.param) if info.param is not None else None
@@ -271,7 +292,7 @@ class FuncidState:
             start = region.start
             if not self.scan.regions[start].aligned:
                 continue
-            notes = self.notes.get(start) or _RegionNotes()
+            notes = self.notes.get(start) or _RegionRecords()
             cache = self.cached.get(start)
             if (
                 cache is not None
@@ -297,5 +318,5 @@ class FuncidState:
                 "plain": [doc for __, doc in sorted(notes.plain.items())],
                 "calls": [doc for __, doc in sorted(notes.calls.items())],
             }
-            self.table.set(start, self.scan.funcid_hashes[start], payload)
-        self.table.flush(self.scan.cacheable_starts())
+            self.funcid.set(start, self.scan.funcid_hashes[start], payload)
+        self.funcid.flush(self.scan.cacheable_starts())

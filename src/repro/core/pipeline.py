@@ -46,13 +46,8 @@ from ..loader.image import LoadedImage
 from ..x86.decoder import decode_all
 from ..symex.engine import ExecContext
 from ..symex.state import MemoryBackend
-from .artifacts import (
-    CACHE_VERSION,
-    ArtifactStore,
-    ProductTable,
-    fingerprint_doc,
-)
-from .funcid import FuncidState
+from .artifacts import CACHE_VERSION, ArtifactStore, fingerprint_doc
+from .funcid import IncrementalState
 from .identify import (
     SiteIdentification,
     identify_plain_site,
@@ -97,12 +92,13 @@ class PipelineConfig:
     #: which stays the deliberately unfiltered SysFilter ablation
     indirect_signatures: bool = True
     passes: tuple[str, ...] = DEFAULT_PASSES
-    #: substitute the function-granular incremental assembler for
-    #: ``cfg-recovery``.  Deliberately **excluded** from the fingerprint:
-    #: incremental and cold runs produce byte-identical artifacts (the
-    #: differential harness pins this), so they must share cache keys —
-    #: a cold run warms the report cache an incremental run serves, and
-    #: vice versa.
+    #: replay and re-store per-function products (``funccfg``/``funcid``)
+    #: when an artifact store is bound; the passes are the same either
+    #: way (see :class:`CfgRecoveryPass`).  Deliberately **excluded**
+    #: from the fingerprint: incremental and cold runs produce
+    #: byte-identical artifacts (the differential harness pins this), so
+    #: they must share cache keys — a cold run warms the report cache an
+    #: incremental run serves, and vice versa.
     incremental: bool = False
 
     def pass_names(self) -> tuple[str, ...]:
@@ -183,17 +179,11 @@ class AnalysisContext:
     #: wrapper confirmations actually performed (0 on artifact reuse)
     wrapper_confirmations: int = 0
     external_sites: int = 0
-    #: function-region totals from the incremental assembler (0/0 on
-    #: cold runs: the counters only move when per-function caching ran)
-    functions_total: int = 0
-    functions_reanalyzed: int = 0
-    #: identification-anchor totals from the incremental symex tier:
-    #: plain sites plus wrapper call sites considered, and the subset
-    #: whose backward search actually re-executed (funcid cache misses).
-    #: External-wrapper-call anchors are excluded — ``external-calls``
-    #: always runs live against dependency interfaces.
-    sites_total: int = 0
-    sites_reexecuted: int = 0
+    #: incremental-tier state (image scan, ``funccfg``/``funcid`` tables
+    #: and their counters), created by ``cfg-recovery`` on incremental
+    #: runs with a store bound; None on cold runs and library interface
+    #: builds, so cold reports carry no incremental counters
+    incremental: IncrementalState | None = None
     #: phase automaton (set by the optional phase-detection pass)
     automaton: object | None = None
     #: scratch space for non-default passes (baselines)
@@ -292,6 +282,29 @@ class CfgRecoveryPass(Pass):
     from the config (the ``use_active_addresses_taken`` ablation).
     Baselines reuse this pass with ``indirect="all"``/``"none"`` and
     ``make_exec=False`` (they never execute symbolically).
+
+    An incremental config with an artifact store bound (``bside analyze
+    --incremental``) assembles the direct CFG function by function
+    instead of through :func:`~repro.cfg.builder.build_cfg`, and leaves
+    the :class:`~repro.core.funcid.IncrementalState` the later passes
+    replay through on :attr:`AnalysisContext.incremental`.  The decode
+    sweep still runs whole-image (it is exact and cheap relative to the
+    downstream passes, and sharing it with the cold path removes a whole
+    class of boundary divergences).  Per function region
+    (:class:`~repro.cfg.partition.FunctionPartition`) the pass either
+    replays a cached ``funccfg`` product — keyed by the region's Merkle
+    closure hash, so a hit certifies the region *and its callee closure*
+    unchanged — or re-carves the region cold.  Cached block starts and
+    freshly computed leaders are unioned into one global leader set and
+    the whole CFG is rebuilt through the exact cold-path helpers
+    (:func:`~repro.cfg.builder.carve_blocks` /
+    :func:`~repro.cfg.builder.assign_functions` /
+    :func:`~repro.cfg.builder.add_direct_edges`); cross-function
+    fixpoints (indirect resolution, and every later pass) always re-run
+    on the stitched CFG.  That construction is why incremental reports
+    are byte-identical to cold ones.  Only *aligned* regions (first
+    decoded instruction exactly at the region start) are cached;
+    misaligned regions re-carve every run and count as re-analyzed.
     """
 
     name = "cfg-recovery"
@@ -301,14 +314,10 @@ class CfgRecoveryPass(Pass):
         self.make_exec = make_exec
 
     def run(self, ctx: AnalysisContext) -> None:
-        cfg = build_cfg(ctx.image)
-        self._finish(ctx, cfg)
-
-    def _finish(self, ctx: AnalysisContext, cfg: CFG) -> None:
-        """Everything after direct-CFG construction: indirect-branch
-        resolution, budgets, exec-context setup, the summary artifact.
-        Shared verbatim with the incremental assembler so the two paths
-        cannot diverge downstream of the stitched CFG."""
+        if ctx.config.incremental and ctx.artifacts is not None:
+            cfg = self._assemble(ctx)
+        else:
+            cfg = build_cfg(ctx.image)
         mode = self.indirect
         if mode is None:
             mode = "active" if ctx.config.use_active_addresses_taken else "all"
@@ -348,70 +357,28 @@ class CfgRecoveryPass(Pass):
                 fingerprint=ctx.fingerprint,
             )
 
-    def units(self, ctx: AnalysisContext) -> int:
-        return ctx.cfg.n_edges
-
-
-class IncrementalCfgRecoveryPass(CfgRecoveryPass):
-    """Function-granular ``cfg-recovery``: stitch cached per-function
-    products into the whole-program CFG (``bside analyze --incremental``).
-
-    The decode sweep always runs whole-image (it is exact and cheap
-    relative to the downstream passes, and sharing it with the cold path
-    removes a whole class of boundary divergences).  Per function region
-    (:class:`~repro.cfg.partition.FunctionPartition`) the pass then
-    either replays a cached ``funccfg`` product — keyed by the region's
-    Merkle closure hash, so a hit certifies the region *and its callee
-    closure* unchanged — or re-carves the region cold.  Cached block
-    starts and freshly computed leaders are unioned into one global
-    leader set and the whole CFG is rebuilt through the exact cold-path
-    helpers (:func:`~repro.cfg.builder.carve_blocks` /
-    :func:`~repro.cfg.builder.assign_functions` /
-    :func:`~repro.cfg.builder.add_direct_edges`); cross-function
-    fixpoints (indirect resolution, and every later pass) always re-run
-    on the stitched CFG.  That construction is why incremental reports
-    are byte-identical to cold ones.
-
-    Only *aligned* regions (first decoded instruction exactly at the
-    region start) are cached; misaligned regions re-carve every run and
-    count as re-analyzed.  All of an image's products live in one
-    ``funccfg`` :class:`~repro.core.artifacts.ProductTable`, read once
-    per analysis and written at most once.  Without an artifact store
-    the pass degrades to the plain cold pass (library interface builds
-    pass no store).
-    """
-
-    name = "cfg-recovery"  # same stage key: reports stay byte-compatible
-
-    def run(self, ctx: AnalysisContext) -> None:
-        if ctx.artifacts is None:
-            super().run(ctx)
-            return
+    def _assemble(self, ctx: AnalysisContext) -> CFG:
+        """The direct CFG stitched from cached and re-carved regions."""
         image = ctx.image
         insns = decode_all(image.text_bytes, image.text_base)
         if not insns:
             raise CfgError(f"{image.name}: empty text segment")
         by_addr = {i.addr: i for i in insns}
-
         scan = scan_image(image, insns, by_addr)
-        ctx.functions_total = len(scan.partition)
-        # Downstream incremental passes key funcid products off the same
-        # scan (combined callee-closure + caller-cone hashes).
-        ctx.extras["image_scan"] = scan
-
-        table = ProductTable(
-            ctx.artifacts, "funccfg", image.name, ctx.fingerprint,
+        state = ctx.incremental = IncrementalState(
+            scan, ctx.artifacts, image.name, ctx.fingerprint,
         )
         leaders: set[int] = set()
         misses: list[int] = []
-        entry = image.entry
         for region in scan.partition:
             start = region.start
             rs = scan.regions[start]
             extra = scan.extra_leaders.get(start, set())
             block_starts = None
             if rs.aligned:
-                payload = table.product(start, scan.closure_hashes[start])
+                payload = state.funccfg.product(
+                    start, scan.closure_hashes[start],
+                )
                 if payload is not None:
                     block_starts = validate_product(
                         payload, rs, extra, by_addr,
@@ -422,8 +389,8 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
                 continue
             misses.append(start)
             leaders.add(start)
-            if entry and start <= entry < region.end:
-                leaders.add(entry)
+            if image.entry and start <= image.entry < region.end:
+                leaders.add(image.entry)
             leaders.update(rs.own_leaders)
             leaders.update(extra)
 
@@ -433,23 +400,25 @@ class IncrementalCfgRecoveryPass(CfgRecoveryPass):
         add_direct_edges(cfg, image)
 
         # Store fresh products for the re-carved (cacheable) regions now
-        # that the stitched block set and its intra-region edges exist.
+        # that the stitched block set exists.
         block_addrs = sorted(cfg.blocks)
         for start in misses:
             rs = scan.regions[start]
-            if not rs.aligned:
-                continue
-            table.set(
-                start, scan.closure_hashes[start],
-                build_product(
-                    cfg, block_addrs, rs,
-                    scan.extra_leaders.get(start, set()),
-                    scan.entry_sigs.get(start),
-                ),
-            )
-        table.flush(scan.cacheable_starts())
-        ctx.functions_reanalyzed = len(misses)
-        self._finish(ctx, cfg)
+            if rs.aligned:
+                state.funccfg.set(
+                    start, scan.closure_hashes[start],
+                    build_product(
+                        block_addrs, rs,
+                        scan.extra_leaders.get(start, set()),
+                        scan.entry_sigs.get(start),
+                    ),
+                )
+        state.funccfg.flush(scan.cacheable_starts())
+        state.reanalyzed = len(misses)
+        return cfg
+
+    def units(self, ctx: AnalysisContext) -> int:
+        return ctx.cfg.n_edges
 
 
 class ReachabilityPass(Pass):
@@ -465,12 +434,21 @@ class ReachabilityPass(Pass):
 
 
 class SiteDiscoveryPass(Pass):
-    """Reachable ``syscall`` instruction sites."""
+    """Reachable ``syscall`` instruction sites.
+
+    Discovery always runs live — it is a cheap index scan, and the site
+    set depends on *global* reachability, which no per-function key can
+    certify.  On incremental runs the live sites then probe the
+    ``funcid`` table and double as its validation oracle: a region's
+    record only hits when its recorded site list matches the fresh one.
+    """
 
     name = "site-discovery"
 
     def run(self, ctx: AnalysisContext) -> None:
         ctx.sites = find_sites(ctx.cfg, ctx.reachable)
+        if ctx.incremental is not None:
+            ctx.incremental.probe(ctx.sites)
 
     def units(self, ctx: AnalysisContext) -> int:
         return len(ctx.sites)
@@ -481,7 +459,14 @@ class WrapperDetectionPass(Pass):
 
     With an artifact store bound, a previously confirmed wrapper table
     (same binary content, same pipeline fingerprint) is replayed instead
-    of re-running symbolic confirmation.
+    of re-running symbolic confirmation.  On a rebuilt binary that table
+    misses; an incremental run then replays classifications per function
+    from ``funcid`` records, and only functions inside the identification
+    cone (or without a valid record) re-run the two-phase heuristic.
+    Only those count against ``max_wrapper_confirmations`` — as a
+    whole-table replay performs zero confirmations.  Iteration stays in
+    site order, so ``ctx.wrappers`` insertion order — and the stored
+    table — is the same on every path.
     """
 
     name = "wrapper-detection"
@@ -489,9 +474,12 @@ class WrapperDetectionPass(Pass):
     def run(self, ctx: AnalysisContext) -> None:
         if self._load_cached(ctx):
             return
+        state = ctx.incremental
         confirmations = 0
         for site in ctx.sites:
             if site.func_entry in ctx.wrappers:
+                continue
+            if state is not None and state.replay_wrapper(site, ctx.wrappers):
                 continue
             confirmations += 1
             if confirmations > ctx.budget.max_wrapper_confirmations:
@@ -545,20 +533,35 @@ class WrapperDetectionPass(Pass):
 
 
 class IdentificationPass(Pass):
-    """Step H: per-site backward identification, plain and wrapper-call."""
+    """Step H: per-site backward identification, plain and wrapper-call.
+
+    On incremental runs each anchor (plain sites, then wrapper call
+    sites) whose region holds a valid ``funcid`` record folds the
+    recorded values and budget spend instead of re-executing; both paths
+    meet in the same :meth:`AnalysisContext.record` fold, so the stable
+    report fields cannot diverge from a cold run's.  At the end, changed
+    regions are re-stored under their current key.
+    """
 
     name = "identification"
 
     def run(self, ctx: AnalysisContext) -> None:
         directed = ctx.config.directed_search
+        state = ctx.incremental
+        if state is not None:
+            state.note_wrappers(ctx.sites, ctx.wrappers)
         for site in ctx.sites:
             info = ctx.wrappers.get(site.func_entry)
             if info is not None:
                 continue  # handled from its call sites below
-            ident = identify_plain_site(
-                ctx.cfg, ctx.exec_ctx, site, ctx.backend,
-                budget=ctx.budget.search, directed=directed,
-            )
+            ident = None if state is None else state.replay_plain(site)
+            if ident is None:
+                ident = identify_plain_site(
+                    ctx.cfg, ctx.exec_ctx, site, ctx.backend,
+                    budget=ctx.budget.search, directed=directed,
+                )
+            if state is not None:
+                state.note_plain(site, ident)
             ctx.record(site.block_addr, ident)
 
         for func_entry, info in ctx.wrappers.items():
@@ -571,147 +574,24 @@ class IdentificationPass(Pass):
                 ctx.complete = False
                 continue
             for call_block in wrapper_call_blocks(ctx.cfg, info):
-                ident = identify_wrapper_call_site(
-                    ctx.cfg, ctx.exec_ctx, call_block, info.param,
-                    ctx.backend, budget=ctx.budget.search, directed=directed,
+                ident = None if state is None else state.replay_call(
+                    ctx.cfg, call_block, info,
                 )
-                ctx.record(call_block, ident)
-
-    def units(self, ctx: AnalysisContext) -> int:
-        return ctx.bbs_explored
-
-
-class IncrementalSiteDiscoveryPass(SiteDiscoveryPass):
-    """``site-discovery`` plus the ``funcid`` store probe.
-
-    Site discovery itself always runs live — it is a cheap index scan,
-    and the site set depends on *global* reachability, which no
-    per-function key can certify.  The live sites then double as the
-    validation oracle for cached funcid entries: a probe only hits when
-    the entry's recorded site list matches the fresh one.  Without the
-    incremental assembler's image scan (no artifact store, or a
-    non-incremental cfg pass upstream) the pass degrades to the plain
-    cold one.
-    """
-
-    name = "site-discovery"
-
-    def run(self, ctx: AnalysisContext) -> None:
-        super().run(ctx)
-        scan = ctx.extras.get("image_scan")
-        if scan is None or ctx.artifacts is None:
-            return
-        state = FuncidState(scan, ProductTable(
-            ctx.artifacts, "funcid", ctx.image.name, ctx.fingerprint,
-        ))
-        state.probe(ctx.sites)
-        ctx.extras["funcid"] = state
-
-
-class IncrementalWrapperDetectionPass(WrapperDetectionPass):
-    """``wrapper-detection`` with per-function classification replay.
-
-    The whole-binary wrapper table (same content hash) is still tried
-    first — it is strictly cheaper.  On a rebuilt binary that table
-    misses, and classifications replay per function from ``funcid``
-    entries instead; only functions inside the identification cone (or
-    without a valid cached record) re-run the two-phase heuristic, and
-    only those count against ``max_wrapper_confirmations`` — mirroring
-    how a whole-table replay performs zero confirmations.  Iteration
-    stays in site order, so ``ctx.wrappers`` insertion order — and the
-    re-stored whole-binary table — is byte-identical to a cold run's.
-    """
-
-    name = "wrapper-detection"
-
-    def run(self, ctx: AnalysisContext) -> None:
-        state = ctx.extras.get("funcid")
-        if state is None:
-            super().run(ctx)
-            return
-        if self._load_cached(ctx):
-            return
-        confirmations = 0
-        for site in ctx.sites:
-            if site.func_entry in ctx.wrappers:
-                continue
-            found, info = state.cached_wrapper(site)
-            if found:
-                ctx.wrappers[site.func_entry] = info
-                continue
-            confirmations += 1
-            if confirmations > ctx.budget.max_wrapper_confirmations:
-                raise BudgetExceeded(
-                    self.name, ctx.budget.max_wrapper_confirmations,
-                )
-            ctx.wrappers[site.func_entry] = detect_wrapper(
-                ctx.cfg, ctx.exec_ctx, site, ctx.backend,
-                max_steps=ctx.budget.wrapper_steps,
-            )
-        ctx.wrapper_confirmations = confirmations
-        self._store(ctx)
-
-
-class IncrementalIdentificationPass(IdentificationPass):
-    """``identification`` with per-anchor replay of cached symex results.
-
-    Anchors (plain sites, then wrapper call sites — the exact cold-path
-    order) whose region holds a valid cached record fold the recorded
-    values and budget spend through :meth:`AnalysisContext.record`;
-    everything else re-executes the backward search live.  Both paths
-    meet in the same ``ctx.record`` fold, so the stable report fields
-    cannot diverge from a cold run's.  ``sites_total`` /
-    ``sites_reexecuted`` count the anchors and the live subset; at the
-    end, changed regions are re-stored under their current combined
-    callee-closure + caller-cone key.
-    """
-
-    name = "identification"
-
-    def run(self, ctx: AnalysisContext) -> None:
-        state = ctx.extras.get("funcid")
-        if state is None:
-            super().run(ctx)
-            return
-        directed = ctx.config.directed_search
-        for site in ctx.sites:
-            state.note_wrapper(site, ctx.wrappers.get(site.func_entry))
-
-        for site in ctx.sites:
-            info = ctx.wrappers.get(site.func_entry)
-            if info is not None:
-                continue  # handled from its call sites below
-            ctx.sites_total += 1
-            ident = state.replay_plain(site)
-            if ident is None:
-                ctx.sites_reexecuted += 1
-                ident = identify_plain_site(
-                    ctx.cfg, ctx.exec_ctx, site, ctx.backend,
-                    budget=ctx.budget.search, directed=directed,
-                )
-            state.note_plain(site, ident)
-            ctx.record(site.block_addr, ident)
-
-        for func_entry, info in ctx.wrappers.items():
-            if info is None:
-                continue
-            if info.param is None:
-                ctx.complete = False
-                continue
-            for call_block in wrapper_call_blocks(ctx.cfg, info):
-                ctx.sites_total += 1
-                ident = state.replay_call(ctx.cfg, call_block, info)
                 if ident is None:
-                    ctx.sites_reexecuted += 1
                     ident = identify_wrapper_call_site(
                         ctx.cfg, ctx.exec_ctx, call_block, info.param,
                         ctx.backend, budget=ctx.budget.search,
                         directed=directed,
                     )
-                state.note_call(call_block, info, ident)
+                if state is not None:
+                    state.note_call(call_block, info, ident)
                 ctx.record(call_block, ident)
 
-        state.flush()
+        if state is not None:
+            state.flush()
+
+    def units(self, ctx: AnalysisContext) -> int:
+        return ctx.bbs_explored
 
 
 class ExternalCallsPass(Pass):
@@ -791,22 +671,8 @@ PASS_REGISTRY: dict[str, type[Pass]] = {
 }
 
 
-#: Incremental substitutes for the named passes (``incremental=True``).
-#: The stage names stay identical, so reports remain byte-compatible.
-INCREMENTAL_PASSES: dict[str, type[Pass]] = {
-    "cfg-recovery": IncrementalCfgRecoveryPass,
-    "site-discovery": IncrementalSiteDiscoveryPass,
-    "wrapper-detection": IncrementalWrapperDetectionPass,
-    "identification": IncrementalIdentificationPass,
-}
-
-
 def build_pipeline(config: PipelineConfig) -> PassPipeline:
     """Instantiate the pipeline a config describes (ablations applied)."""
-    passes: list[Pass] = []
-    for name in config.pass_names():
-        if config.incremental and name in INCREMENTAL_PASSES:
-            passes.append(INCREMENTAL_PASSES[name]())
-        else:
-            passes.append(PASS_REGISTRY[name]())
-    return PassPipeline(passes)
+    return PassPipeline([
+        PASS_REGISTRY[name]() for name in config.pass_names()
+    ])

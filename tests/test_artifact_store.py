@@ -9,6 +9,7 @@ match — anything else is a miss, never a stale result.
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core import (
     PipelineConfig,
     ShardedArtifactStore,
 )
+from repro.core.artifacts import _RELIST_NS
 from repro.core.fleet import FleetAnalyzer
 from repro.corpus import LIBC_NAME, build_libc, make_debian_corpus
 from repro.corpus.progbuilder import ProgramBuilder
@@ -143,6 +145,82 @@ class TestConcurrentWriters:
         assert not errors, errors
         assert store.get("iface", "libc.so.6", content_hash="h") == payload
         assert [n for n in os.listdir(str(tmp_path)) if ".tmp" in n] == []
+
+
+def _open_store(root, layout):
+    if layout == "flat":
+        return ArtifactStore(root)
+    return ShardedArtifactStore(root, shards=2)
+
+
+def _entry_dirs(store):
+    shards = getattr(store, "shards", [store])
+    return [shard.cache_dir for shard in shards]
+
+
+@pytest.mark.parametrize("layout", ["flat", "sharded"])
+class TestSharedHashIndex:
+    """Two store instances over one directory — the service front end
+    and its worker processes: each finds by content hash what the other
+    wrote, without re-reading envelopes it has already indexed."""
+
+    def test_peer_put_is_found_by_content_hash(self, tmp_path, layout):
+        front = _open_store(str(tmp_path), layout)
+        worker = _open_store(str(tmp_path), layout)
+        # even hashes: both entries land in the same shard
+        front.put("report", "one", {"x": 1}, content_hash="aa" * 32)
+        assert front.find_name("report", "aa" * 32) == "one"  # index built
+        worker.put("report", "two", {"x": 2}, content_hash="cc" * 32)
+        time.sleep(_RELIST_NS / 1e9)
+        assert front.find_name("report", "cc" * 32) == "two"
+        assert front.lookup(
+            "report", "renamed", content_hash="cc" * 32,
+        ) == {"x": 2}
+
+    def test_miss_reads_only_unseen_envelopes(
+        self, tmp_path, layout, monkeypatch,
+    ):
+        front = _open_store(str(tmp_path), layout)
+        worker = _open_store(str(tmp_path), layout)
+        # even hashes: every entry lands in the same shard
+        for i in range(4):
+            worker.put("report", f"bin{i}", {"i": i},
+                       content_hash=f"{2 * i:02x}" * 32)
+        # an mtime older than the relist interval is trusted
+        past = (os.stat(str(tmp_path)).st_mtime_ns - 10 * 10**9,) * 2
+        for path in _entry_dirs(front):
+            os.utime(path, ns=past)
+        reads = []
+        real_load = json.load
+        monkeypatch.setattr(
+            json, "load", lambda f: reads.append(f.name) or real_load(f),
+        )
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(
+            os, "listdir", lambda p: listings.append(p) or real_listdir(p),
+        )
+        interval = _RELIST_NS / 1e9
+        missing = "ee" * 32
+        assert front.find_name("report", missing) is None
+        assert (len(reads), len(listings)) == (4, 1)
+        # nothing changed: one stat, no listing, no envelope read
+        time.sleep(interval)
+        assert front.find_name("report", missing) is None
+        assert (len(reads), len(listings)) == (4, 1)
+
+        # the directory changed: list it, read only the new envelope
+        worker.put("report", "bin4", {"i": 4}, content_hash="08" * 32)
+        assert front.find_name("report", "08" * 32) == "bin4"
+        assert (len(reads), len(listings)) == (5, 2)
+
+        # within the relist interval a miss does not list again
+        worker.put("report", "bin5", {"i": 5}, content_hash="0a" * 32)
+        assert front.find_name("report", "0a" * 32) is None
+        assert (len(reads), len(listings)) == (5, 2)
+        time.sleep(interval)
+        assert front.find_name("report", "0a" * 32) == "bin5"
+        assert (len(reads), len(listings)) == (6, 3)
 
 
 class TestAnalyzerReportCache:

@@ -192,7 +192,7 @@ def test_product_block_starts_equal_reference_filter(spec):
     cfg = build_cfg(prog.image)
     block_addrs = sorted(cfg.blocks)
     for start, rs in scan.regions.items():
-        product = build_product(cfg, block_addrs, rs, set())
+        product = build_product(block_addrs, rs, set())
         assert product["block_starts"] == sorted(
             addr for addr in cfg.blocks if rs.start <= addr < rs.end
         )

@@ -15,6 +15,7 @@ Covers the tentpole claims end to end:
 
 import json
 import os
+import time
 
 import pytest
 
@@ -354,13 +355,13 @@ class TestSubmitTimeServing:
         syscalls = client.report(job["id"])["syscalls"]
         assert 102 in syscalls and 39 not in syscalls
 
-    def test_stale_hash_index_degrades_to_a_queued_cache_hit(
+    def test_report_written_by_another_store_is_served_at_submit(
         self, tmp_path, demo_binary,
     ):
-        """A report another store instance wrote is unknown to this
-        store's hash index: the submission queues, and the dispatcher's
-        name-keyed lookup serves it from the store."""
-        from repro.core.artifacts import ArtifactStore
+        """A report another store instance (a worker process) wrote
+        after this store built its hash index is found on the next
+        miss, and the POST serves it."""
+        from repro.core.artifacts import _RELIST_NS, ArtifactStore
         from repro.core.fleet import FleetAnalyzer
         from repro.loader.image import LoadedImage
 
@@ -377,14 +378,50 @@ class TestSubmitTimeServing:
             FleetAnalyzer(artifact_store=second).analyze_images(
                 [LoadedImage.from_path(demo_binary)]
             )
+            # the hash index lists the directory at most this often
+            time.sleep(_RELIST_NS / 1e9)
             runs_before = pipeline_runs()
             job = client.submit_path(demo_binary)
+            assert job["status"] == "done"
+            assert job["metrics"]["from_cache"] is True
+            assert pipeline_runs() == runs_before
+            assert set(client.report(job["id"])["syscalls"]) == {39, 60}
+        finally:
+            srv.stop()
+
+    def test_stale_hash_index_degrades_to_a_queued_cache_hit(
+        self, tmp_path, demo_binary,
+    ):
+        """An entry another store instance overwrote in place keeps the
+        hash this store's index first read for it: the submission of the
+        new binary queues, and the dispatcher's name-keyed lookup serves
+        it from the store."""
+        from repro.core.artifacts import ArtifactStore
+        from repro.core.fleet import FleetAnalyzer
+        from repro.loader.image import LoadedImage
+
+        service = AnalysisService(str(tmp_path / "state"))
+        srv = AsyncServiceServer(service, port=0)
+        srv.start()
+        try:
+            client = ServiceClient(srv.url)
+            self._warm(client, demo_binary)  # builds this store's index
+            newer = tmp_path / "newer"
+            newer.mkdir()
+            rebuilt = str(newer / "svc-demo")
+            _demo_program("svc-demo", nr=102).save(rebuilt)
+            FleetAnalyzer(
+                artifact_store=ArtifactStore(service.cache_dir),
+            ).analyze_images([LoadedImage.from_path(rebuilt)])
+
+            runs_before = pipeline_runs()
+            job = client.submit_path(rebuilt)
             assert job["status"] == "queued"
             done = client.wait(job["id"])
             assert done["metrics"]["from_cache"] is True
             assert done["metrics"]["batch_size"] >= 1
             assert pipeline_runs() == runs_before
-            assert set(client.report(job["id"])["syscalls"]) == {39, 60}
+            assert set(client.report(job["id"])["syscalls"]) == {102, 60}
         finally:
             srv.stop()
 
