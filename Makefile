@@ -17,48 +17,54 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q -o python_files="test_*.py bench_*.py"
 
-## cold-kernel perf gate: re-measure and compare against the committed
-## BENCH_cold_kernel.json trajectory (fails on >15% normalized cold-path
-## regression, or if the speedup vs the pre-optimization baseline drops
-## below 3x); see docs/performance.md.  BENCH_GATE_FLAGS widens the
-## margins where runs are cross-machine/cross-interpreter (CI).
-bench-gate:
-	$(PYTHON) tools/perf_gate.py $(BENCH_GATE_FLAGS)
+## The four gates below are aliases of `tools/gate.py WORKLOAD`, one row
+## each of the gate table in src/repro/perf/gate.py; a run with
+## --record LABEL appends to the trajectory only when the gate passes.
 
-## accuracy gate: re-run the paper's §5 evaluation (fixed scale/seed,
-## fully deterministic) and compare against the committed
-## BENCH_eval_accuracy.json trajectory (fails if B-Side's recall drops
-## below the recorded baseline, if any validation app shows a false
-## negative, or if a baseline tool's F1 beats B-Side's); see
+## cold-kernel perf gate (`tools/gate.py cold`): re-measure and compare
+## against the committed BENCH_cold_kernel.json trajectory (fails on >15%
+## normalized cold-path regression, or if the speedup vs the
+## pre-optimization baseline drops below 3x); see docs/performance.md.
+## BENCH_GATE_FLAGS widens the margins (--max-regression,
+## --min-speedup) where runs are cross-machine/cross-interpreter (CI).
+bench-gate:
+	$(PYTHON) tools/gate.py cold $(BENCH_GATE_FLAGS)
+
+## accuracy gate (`tools/gate.py accuracy`): re-run the paper's §5
+## evaluation (fixed scale/seed, fully deterministic) and compare against
+## the committed BENCH_eval_accuracy.json trajectory (fails if B-Side's
+## recall drops below the recorded baseline, if any validation app shows
+## a false negative, or if a baseline tool's F1 beats B-Side's); see
 ## docs/evaluation.md.
 eval-gate:
-	$(PYTHON) tools/accuracy_gate.py $(EVAL_GATE_FLAGS)
+	$(PYTHON) tools/gate.py accuracy $(EVAL_GATE_FLAGS)
 
 ## measure the distributed tier without gating: the full-size load
 ## generator (per-tier cold/warm table into benchmarks/results/); it
-## never touches the trajectory (use tools/service_gate.py --record
+## never touches the trajectory (use tools/gate.py service --record
 ## LABEL to append an entry after deliberate service work)
 bench-service-scale:
 	$(PYTHON) -m pytest benchmarks/bench_service_scale.py -q \
 		-o python_files="test_*.py bench_*.py"
 
-## service-scale gate: drive the distributed tier (asyncio front end +
-## 1/2/4 lease-claiming worker processes over real sockets) with the
-## deterministic small-scale load profile and compare against the
-## committed BENCH_service_scale.json trajectory (fails on >15%
-## normalized warm-p99 regression or throughput drop vs the latest
-## entry, or if max-tier steady-state throughput falls below 3x the
-## 1-worker cold throughput); see docs/performance.md.
+## service-scale gate (`tools/gate.py service`): drive the distributed
+## tier (asyncio front end + 1/2/4 lease-claiming worker processes over
+## real sockets) with the deterministic small-scale load profile and
+## compare against the committed BENCH_service_scale.json trajectory
+## (fails on >15% normalized warm-p99 regression or throughput drop vs
+## the latest entry, or if max-tier steady-state throughput falls below
+## 3x the 1-worker cold throughput); see docs/performance.md.
 service-gate:
-	$(PYTHON) tools/service_gate.py $(SERVICE_GATE_FLAGS)
+	$(PYTHON) tools/gate.py service $(SERVICE_GATE_FLAGS)
 
-## incremental-rebuild gate: mutate 3 functions of a ~400-function
-## binary and re-analyze it through the funccfg cache; fails if more
-## than 5% of the partition is re-analyzed or if the incremental report
+## incremental-rebuild gate (`tools/gate.py incremental`): mutate 3
+## functions of a ~400-function binary and re-analyze it through the
+## funccfg cache; fails if more than 5% of the partition or of the
+## identification sites is re-analyzed, or if the incremental report
 ## differs from the cold report of the same mutated bytes (compared
 ## against BENCH_incremental.json); see docs/performance.md.
 incremental-gate:
-	$(PYTHON) tools/incremental_gate.py $(INCREMENTAL_GATE_FLAGS)
+	$(PYTHON) tools/gate.py incremental $(INCREMENTAL_GATE_FLAGS)
 
 ## repository-benchmark self-tests (perfbench/, ~15 s): BENCHMARK.json
 ## matches the metric tables, each workload runs small traced and
@@ -69,9 +75,10 @@ incremental-gate:
 perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
 
-## fast syntax/bytecode check (no third-party linters in this environment)
+## fast syntax/bytecode check (no third-party linters in this
+## environment); tools/ too, so a broken gate fails here, not at its CI step
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 	$(PYTHON) -m pytest --collect-only -q >/dev/null
 
 ## end-to-end: generate a tiny corpus, fleet-analyze it cold, then warm.

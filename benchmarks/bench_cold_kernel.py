@@ -2,14 +2,15 @@
 
 Runs the :mod:`repro.perf.coldbench` workload (end-to-end cold analysis
 of the six validation apps + component micro-benchmarks) and reports it
-against the committed ``BENCH_cold_kernel.json`` trajectory:
+against the committed ``BENCH_cold_kernel.json`` trajectory through the
+``cold`` row of the gate table (:mod:`repro.perf.gate`):
 
 * speedup vs the recorded **pre-optimization baseline** (the seed
   kernel before the table-driven decoder / indexed CFG / bitset
-  reachability work) — asserted to stay >= 3x;
+  reachability work) — asserted to stay at the row's floor (3x);
 * drift vs the **latest** trajectory entry (the regression the CI perf
   gate enforces at 15%; the bench itself only reports it, since
-  ``tools/perf_gate.py`` is the enforcement point).
+  ``tools/gate.py cold`` is the enforcement point).
 
 Comparisons use normalized cold time (calibrated against an in-run
 pure-Python loop), so the assertion holds across machines.
@@ -17,46 +18,28 @@ pure-Python loop), so the assertion holds across machines.
 
 from __future__ import annotations
 
-import os
-
-from repro.perf import load_trajectory, measure_cold_kernel
+from repro.perf import load_trajectory
 from repro.perf.coldbench import format_measurement
+from repro.perf.gate import GATES, evaluate
 
 from _report import emit
 
-TRAJECTORY_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_cold_kernel.json",
-)
-
-#: the acceptance floor: cold single-binary analysis vs the pre-PR kernel
-MIN_SPEEDUP = 3.0
+ROW = GATES["cold"]
 
 
 def test_cold_kernel_trajectory(benchmark):
-    record = measure_cold_kernel(repeats=3)
-    trajectory = load_trajectory(TRAJECTORY_PATH)
+    record = ROW.measure()
+    trajectory = load_trajectory(ROW.path, workload=ROW.workload)
+    verdict = evaluate(ROW, record, trajectory)
 
-    lines = [format_measurement(record), ""]
+    lines = [format_measurement(record), "", *verdict.lines]
     pre = trajectory.pre_optimization
-    speedup = None
     if pre is not None:
-        speedup = pre["normalized_cold"] / record["normalized_cold"]
-        lines.append(
-            f"speedup vs pre-optimization baseline "
-            f"'{pre['label']}': {speedup:.2f}x (floor {MIN_SPEEDUP:.1f}x)"
-        )
+        lines.append(f"component speedups vs '{pre['label']}':")
         for name, seconds in record["components"].items():
             before = pre.get("components", {}).get(name)
             if before:
                 lines.append(f"  {name:<24} {before / seconds:>6.2f}x")
-    latest = trajectory.baseline
-    if latest is not None:
-        drift = record["normalized_cold"] / latest["normalized_cold"]
-        lines.append(
-            f"drift vs latest entry '{latest.get('label', '?')}': "
-            f"{drift:.3f}x normalized cold"
-        )
     emit("cold_kernel", "Cold-kernel trajectory (BENCH_cold_kernel.json)",
          "\n".join(lines))
 
@@ -76,8 +59,4 @@ def test_cold_kernel_trajectory(benchmark):
 
         benchmark(cold_one)
 
-    if pre is not None:
-        assert speedup >= MIN_SPEEDUP, (
-            f"cold kernel speedup {speedup:.2f}x fell below the "
-            f"{MIN_SPEEDUP:.1f}x acceptance floor"
-        )
+    assert not verdict.problems, verdict.problems

@@ -7,7 +7,7 @@ binary mutated in 3 functions, re-analyzed through the function-granular
 
 * the **re-analyzed fraction** (changed functions plus their dependency
   cone over the whole partition) — asserted to stay under 5%, the
-  acceptance target the CI gate (``tools/incremental_gate.py``)
+  acceptance target the CI gate (``tools/gate.py incremental``)
   enforces;
 * the **site re-execution fraction** (identification anchors whose
   backward symex ran live instead of replaying a cached ``funcid``
@@ -16,47 +16,33 @@ binary mutated in 3 functions, re-analyzed through the function-granular
 * **equivalence** of the incremental and cold reports for the same
   mutated bytes — asserted outright: a fast-but-wrong rebuild is worse
   than a slow one;
-* cold vs incremental wall time and drift vs the latest trajectory
-  entry, reported for the record.
+* cold vs incremental wall time, reported for the record.
+
+The floors are the ``incremental`` row of the gate table
+(:mod:`repro.perf.gate`).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.perf import load_trajectory, measure_incremental
+from repro.perf import load_trajectory
+from repro.perf.gate import GATES, evaluate
 from repro.perf.incbench import format_incremental_measurement
 
 from _report import emit
 
-TRAJECTORY_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_incremental.json",
-)
-
-#: the acceptance ceiling: fraction of functions re-analyzed after a
-#: 3-of-~400-function mutation
-MAX_REANALYZED_FRACTION = 0.05
+ROW = GATES["incremental"]
 
 
 def test_incremental_trajectory(benchmark):
-    record = measure_incremental(repeats=3)
-    trajectory = load_trajectory(TRAJECTORY_PATH)
+    record = ROW.measure()
+    trajectory = load_trajectory(ROW.path, workload=ROW.workload)
+    verdict = evaluate(ROW, record, trajectory)
 
-    lines = [format_incremental_measurement(record), ""]
-    latest = trajectory.baseline
-    if latest is not None:
-        drift = (
-            record["normalized_incremental"]
-            / latest["normalized_incremental"]
-        )
-        lines.append(
-            f"drift vs latest entry '{latest.get('label', '?')}': "
-            f"{drift:.3f}x normalized incremental"
-        )
     emit("incremental",
          "Incremental-rebuild trajectory (BENCH_incremental.json)",
-         "\n".join(lines))
+         "\n".join([format_incremental_measurement(record), *verdict.lines]))
 
     if benchmark is not None:
         from repro.core import ArtifactStore, BSideAnalyzer
@@ -66,7 +52,7 @@ def test_incremental_trajectory(benchmark):
 
         bundle = build_app("redis")
         store_dir = os.path.join(
-            os.path.dirname(TRAJECTORY_PATH), ".bench-inc-cache"
+            os.path.dirname(ROW.path), ".bench-inc-cache"
         )
 
         def incremental_one():
@@ -88,18 +74,4 @@ def test_incremental_trajectory(benchmark):
 
             shutil.rmtree(store_dir, ignore_errors=True)
 
-    assert record["equivalent"], (
-        "incremental report diverged from the cold report of the same "
-        "mutated binary"
-    )
-    assert record["reanalyzed_fraction"] <= MAX_REANALYZED_FRACTION, (
-        f"a {record['functions_changed']}-function mutation re-analyzed "
-        f"{100 * record['reanalyzed_fraction']:.2f}% of the partition "
-        f"(ceiling {100 * MAX_REANALYZED_FRACTION:.1f}%)"
-    )
-    assert record["sites_reexecuted_fraction"] <= MAX_REANALYZED_FRACTION, (
-        f"a {record['functions_changed']}-function mutation re-executed "
-        f"the backward symex of {100 * record['sites_reexecuted_fraction']:.2f}% "
-        f"of the identification sites "
-        f"(ceiling {100 * MAX_REANALYZED_FRACTION:.1f}%)"
-    )
+    assert not verdict.problems, verdict.problems

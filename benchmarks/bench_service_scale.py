@@ -11,8 +11,11 @@ committed ``BENCH_service_scale.json`` trajectory:
   >= 3x (the steady state a long-running daemon converges to vs its
   worst-case single-worker build-out);
 * drift vs the **latest** trajectory entry (the 15% p99/throughput
-  regression CI enforces; ``tools/service_gate.py`` is the enforcement
+  regression CI enforces; ``tools/gate.py service`` is the enforcement
   point, the bench only reports it).
+
+Both come from the ``service`` row of the gate table
+(:mod:`repro.perf.gate`).
 
 The CI gate uses a deterministic small-scale profile of this same
 workload; this bench is the full-size load generator (32 distinct
@@ -24,21 +27,15 @@ from __future__ import annotations
 import os
 
 from repro.perf import (
-    SERVICE_WORKLOAD,
     format_service_measurement,
     load_trajectory,
     measure_service_scale,
 )
+from repro.perf.gate import GATES, evaluate
 
 from _report import emit
 
-TRAJECTORY_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_service_scale.json",
-)
-
-#: the acceptance floor: max-tier warm throughput vs 1-worker cold
-MIN_SCALE = 3.0
+ROW = GATES["service"]
 
 #: full-size load profile (the CI gate runs a smaller deterministic one)
 TIERS = (1, 2, 4)
@@ -54,7 +51,8 @@ def test_service_scale_trajectory(benchmark):
         clients_ramp=CLIENTS_RAMP,
         jobs_per_client=JOBS_PER_CLIENT,
     )
-    trajectory = load_trajectory(TRAJECTORY_PATH, workload=SERVICE_WORKLOAD)
+    trajectory = load_trajectory(ROW.path, workload=ROW.workload)
+    verdict = evaluate(ROW, record, trajectory)
 
     lines = [format_service_measurement(record), ""]
     lines.append(
@@ -62,17 +60,7 @@ def test_service_scale_trajectory(benchmark):
         f"{sum(c * JOBS_PER_CLIENT for c in CLIENTS_RAMP)} "
         f"({len(TIERS)} tiers, {N_BINARIES} distinct binaries)"
     )
-    latest = trajectory.baseline
-    if latest is not None:
-        reference = record["reference"]
-        base = latest["reference"]
-        lines.append(
-            f"drift vs latest entry '{latest.get('label', '?')}': "
-            f"{reference['normalized_warm_p99'] / base['normalized_warm_p99']:.3f}x "
-            f"normalized p99, "
-            f"{reference['normalized_warm_throughput'] / base['normalized_warm_throughput']:.3f}x "
-            f"normalized throughput"
-        )
+    lines += verdict.lines
     emit("service_scale",
          "Service-scale trajectory (BENCH_service_scale.json)",
          "\n".join(lines))
@@ -115,7 +103,4 @@ def test_service_scale_trajectory(benchmark):
                 process.terminate()
             server.stop()
 
-    assert record["scale_warm_max_vs_cold_1w"] >= MIN_SCALE, (
-        f"service scale ratio {record['scale_warm_max_vs_cold_1w']:.2f}x "
-        f"fell below the {MIN_SCALE:.1f}x acceptance floor"
-    )
+    assert not verdict.problems, verdict.problems

@@ -12,7 +12,7 @@ cacheable, CI-gated subsystem (``bside eval``):
 * :mod:`repro.eval.report` — :class:`EvalReport` with text / JSON /
   Markdown renderings and the trajectory-record projection;
 * :mod:`repro.eval.gate` — the accuracy gates enforced by
-  ``tools/accuracy_gate.py`` over ``BENCH_eval_accuracy.json``.
+  ``tools/gate.py accuracy`` over ``BENCH_eval_accuracy.json``.
 
 See ``docs/evaluation.md`` for the methodology and workflow.
 """

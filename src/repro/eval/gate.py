@@ -19,8 +19,11 @@ invariant over the ``BENCH_eval_accuracy.json`` trajectory:
   its aggregate recall must be exactly 1.0: the refinement may only
   ever *remove* false positives, never trade recall for precision.
 
-``tools/accuracy_gate.py`` drives this from ``make eval-gate`` and
-additionally *requires* the ablation section to be present.
+It is the check of the ``accuracy`` row of the gate table
+(:mod:`repro.perf.gate`): ``tools/gate.py accuracy`` drives it from
+``make eval-gate`` and additionally *requires* the ablation section to
+be present.  ``--seed-baseline`` runs it against an empty trajectory
+with ``require_baseline=False``, so only the structural gates apply.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .tools import TOOL_BSIDE
 
 #: the CI gate's fixed workload: small enough for CI, big enough that
 #: the scaled corpus keeps every population class.  Shared by
-#: ``tools/accuracy_gate.py`` and the README results drift check.
+#: ``tools/gate.py accuracy`` and the README results drift check.
 GATE_SCALE = 0.2
 GATE_SEED = 42
 
@@ -172,7 +175,7 @@ def gate_accuracy(
                 f"no comparable baseline entry (scale "
                 f"{record.get('scale')}, seed {record.get('seed')}) in the "
                 f"accuracy trajectory: record one first "
-                f"(tools/accuracy_gate.py --record <label>)"
+                f"(tools/gate.py accuracy --record <label>)"
             )
         return result
     result.baseline_label = baseline.get("label")

@@ -15,7 +15,7 @@ cache provenance — is byte-stable for a fixed ``(scale, seed)``:
 :meth:`EvalReport.to_json` with ``include_runtime=False`` is pinned in
 the test suite, and :meth:`EvalReport.to_record` produces the
 append-only ``BENCH_eval_accuracy.json`` trajectory entries that
-``tools/accuracy_gate.py`` gates and ``tools/check_docs.py`` renders
+``tools/gate.py accuracy`` gates and ``tools/check_docs.py`` renders
 back into the README results table (:func:`render_results_markdown`).
 """
 

@@ -19,9 +19,9 @@ package owns that measurement:
   function-granular ``funccfg`` cache (fraction of functions
   re-analyzed, cold/incremental equivalence and timings).
 * :mod:`repro.perf.trajectory` — the append-only ``BENCH_*.json``
-  trajectory files recording measurements across PRs, and the
-  regression gates ``tools/perf_gate.py`` / ``tools/service_gate.py``
-  / ``tools/incremental_gate.py`` enforce in CI.
+  trajectory files recording measurements across PRs.
+* :mod:`repro.perf.gate` — one table of gate rows, one per trajectory,
+  and the evaluator ``tools/gate.py WORKLOAD`` enforces in CI.
 
 See ``docs/performance.md`` for the workflow.
 """
@@ -40,9 +40,6 @@ from .trajectory import (
     SERVICE_PATH,
     SERVICE_WORKLOAD,
     Trajectory,
-    gate_incremental_measurement,
-    gate_measurement,
-    gate_service_measurement,
     load_trajectory,
     save_trajectory,
 )
@@ -60,9 +57,6 @@ __all__ = [
     "Trajectory",
     "format_incremental_measurement",
     "format_service_measurement",
-    "gate_incremental_measurement",
-    "gate_measurement",
-    "gate_service_measurement",
     "load_trajectory",
     "measure_cold_kernel",
     "measure_incremental",

@@ -1,4 +1,4 @@
-"""Benchmark trajectories: append-only measurement histories + gates.
+"""Benchmark trajectories: append-only measurement histories.
 
 A *trajectory* is the append-only history of measurements across PRs::
 
@@ -6,41 +6,40 @@ A *trajectory* is the append-only history of measurements across PRs::
         {"label": "pre-pr4-seed", "role": "pre-opt-baseline", ...},
         {"label": "pr4-optimized", "role": "optimized", ...}]}
 
-Two trajectories are committed at the repository root:
+Four trajectories are committed at the repository root, each gated by
+one row of :data:`repro.perf.gate.GATES` (``tools/gate.py WORKLOAD``):
 
-* ``BENCH_cold_kernel.json`` (workload ``cold-kernel-v1``) — cold
-  per-binary analysis wall time, gated by :func:`gate_measurement`
-  below (``tools/perf_gate.py``);
-* ``BENCH_eval_accuracy.json`` (workload ``eval-accuracy-v1``) — the
-  paper's §5 accuracy reproduction (per-tool precision/recall/F1 over
-  the validation apps + corpus completion), recorded by ``bside eval``
-  and gated by :func:`repro.eval.gate.gate_accuracy`
-  (``tools/accuracy_gate.py``);
-* ``BENCH_service_scale.json`` (workload ``service-scale-v1``) — the
-  distributed service tier under load (cold/warm throughput, p50/p99
-  latency, and saturation point at 1/2/4 worker processes over real
-  sockets; :mod:`repro.perf.servicebench`), gated by
-  :func:`gate_service_measurement` below (``tools/service_gate.py``);
-* ``BENCH_incremental.json`` (workload ``incremental-v1``) — rebuild
-  locality of the function-granular incremental pipeline (fraction of
-  functions re-analyzed after a 3-of-~400-function mutation, plus
-  cold/incremental equivalence; :mod:`repro.perf.incbench`), gated by
-  :func:`gate_incremental_measurement` below
-  (``tools/incremental_gate.py``).
+* ``BENCH_cold_kernel.json`` (workload ``cold-kernel-v1``, row
+  ``cold``) — cold per-binary analysis wall time
+  (:mod:`repro.perf.coldbench`);
+* ``BENCH_eval_accuracy.json`` (workload ``eval-accuracy-v1``, row
+  ``accuracy``) — the paper's §5 accuracy reproduction (per-tool
+  precision/recall/F1 over the validation apps + corpus completion),
+  also recorded by ``bside eval`` and checked by
+  :func:`repro.eval.gate.gate_accuracy`;
+* ``BENCH_service_scale.json`` (workload ``service-scale-v1``, row
+  ``service``) — the distributed service tier under load (cold/warm
+  throughput, p50/p99 latency, and saturation point at 1/2/4 worker
+  processes over real sockets; :mod:`repro.perf.servicebench`);
+* ``BENCH_incremental.json`` (workload ``incremental-v1``, row
+  ``incremental``) — rebuild locality of the function-granular
+  incremental pipeline (fraction of functions re-analyzed after a
+  3-of-~400-function mutation, plus cold/incremental equivalence;
+  :mod:`repro.perf.incbench`).
 
 All share this module's schema, file format, and load/append/save
-machinery; only the per-entry record shape and the gate differ.
-
-Each entry is one :func:`repro.perf.coldbench.measure_cold_kernel`
-record plus a ``label`` and a ``role``:
+machinery; only the per-entry record shape differs.  Each entry is one
+measurement record plus a ``label`` and a ``role``.  In the cold-kernel
+trajectory:
 
 * ``pre-opt-baseline`` — the kernel *before* the PR-4 optimisation
   work; the ≥3x speedup acceptance target is measured against the
-  first such entry.
-* ``optimized`` — every later measurement; the regression gate
-  compares against the **last** entry, whatever its role.
+  first such entry (:attr:`Trajectory.pre_optimization`).
+* ``optimized`` — every later measurement; regression gates compare
+  against the **last** entry (:attr:`Trajectory.baseline`), whatever
+  its role.
 
-Gates compare ``normalized_cold`` (cold seconds divided by the in-run
+Gates compare normalized timings (seconds divided by an in-run
 calibration loop), so a baseline recorded on a developer laptop still
 gates a CI container: machine speed cancels out of the ratio.
 """
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 
 SCHEMA = 1
@@ -59,17 +59,17 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 #: default cold-kernel trajectory location: the repository root
 DEFAULT_PATH = os.path.join(_REPO_ROOT, "BENCH_cold_kernel.json")
 
-#: the accuracy trajectory (``bside eval`` / ``tools/accuracy_gate.py``)
+#: the accuracy trajectory (``bside eval`` / ``tools/gate.py accuracy``)
 ACCURACY_PATH = os.path.join(_REPO_ROOT, "BENCH_eval_accuracy.json")
 ACCURACY_WORKLOAD = "eval-accuracy-v1"
 
 #: the service-scale trajectory (``benchmarks/bench_service_scale.py`` /
-#: ``tools/service_gate.py``)
+#: ``tools/gate.py service``)
 SERVICE_PATH = os.path.join(_REPO_ROOT, "BENCH_service_scale.json")
 SERVICE_WORKLOAD = "service-scale-v1"
 
 #: the incremental-rebuild trajectory (``benchmarks/bench_incremental.py``
-#: / ``tools/incremental_gate.py``)
+#: / ``tools/gate.py incremental``)
 INCREMENTAL_PATH = os.path.join(_REPO_ROOT, "BENCH_incremental.json")
 INCREMENTAL_WORKLOAD = "incremental-v1"
 
@@ -152,240 +152,10 @@ def load_trajectory(
 
 
 def save_trajectory(trajectory: Trajectory, path: str = DEFAULT_PATH) -> None:
-    tmp = path + ".tmp"
+    # Per-writer temp name: a concurrent ``bside eval`` and a gate
+    # ``--record`` must not truncate each other's half-written file.
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w") as f:
         json.dump(trajectory.to_doc(), f, indent=2)
         f.write("\n")
     os.replace(tmp, path)
-
-
-@dataclass
-class GateResult:
-    """Outcome of gating one measurement against a trajectory."""
-
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-    #: current normalized cold time
-    normalized: float = 0.0
-    #: normalized-cold ratio vs the latest trajectory entry (>1 = slower)
-    regression_ratio: float | None = None
-    #: speedup vs the pre-optimization baseline (higher = faster)
-    speedup_vs_pre: float | None = None
-
-
-def gate_measurement(
-    record: dict,
-    trajectory: Trajectory,
-    *,
-    max_regression: float = 0.15,
-    min_speedup: float = 3.0,
-) -> GateResult:
-    """Apply both gates to a fresh measurement.
-
-    * **regression gate** — ``normalized_cold`` may not exceed the
-      latest trajectory entry's by more than ``max_regression``
-      (fractional, 0.15 = 15%);
-    * **speedup gate** — when the trajectory has a
-      ``pre-opt-baseline`` entry, the current measurement must be at
-      least ``min_speedup`` times faster than it (normalized).
-    """
-    result = GateResult(ok=True, normalized=record["normalized_cold"])
-    baseline = trajectory.baseline
-    if baseline is None:
-        result.ok = False
-        result.problems.append(
-            "no baseline entry in the trajectory: record one first "
-            "(tools/perf_gate.py --record <label>)"
-        )
-        return result
-    ratio = record["normalized_cold"] / baseline["normalized_cold"]
-    result.regression_ratio = ratio
-    if ratio > 1.0 + max_regression:
-        result.ok = False
-        result.problems.append(
-            f"cold-path regression: normalized cold {record['normalized_cold']:.4f} "
-            f"is {ratio:.2f}x the baseline entry "
-            f"'{baseline.get('label', '?')}' ({baseline['normalized_cold']:.4f}); "
-            f"allowed at most {1.0 + max_regression:.2f}x"
-        )
-    pre = trajectory.pre_optimization
-    if pre is not None:
-        speedup = pre["normalized_cold"] / record["normalized_cold"]
-        result.speedup_vs_pre = speedup
-        if speedup < min_speedup:
-            result.ok = False
-            result.problems.append(
-                f"cold-kernel speedup vs pre-optimization baseline "
-                f"'{pre.get('label', '?')}' is {speedup:.2f}x; "
-                f"required >= {min_speedup:.1f}x"
-            )
-    return result
-
-
-@dataclass
-class ServiceGateResult:
-    """Outcome of gating one service-scale measurement."""
-
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-    #: normalized warm p99 ratio vs the latest entry (>1 = slower)
-    p99_ratio: float | None = None
-    #: normalized warm throughput ratio vs the latest entry (<1 = slower)
-    throughput_ratio: float | None = None
-    #: max-tier steady-state throughput over 1-worker cold throughput
-    scale_ratio: float = 0.0
-
-
-def gate_service_measurement(
-    record: dict,
-    trajectory: Trajectory,
-    *,
-    max_regression: float = 0.15,
-    min_scale: float = 3.0,
-) -> ServiceGateResult:
-    """Apply the service-scale gates to a fresh measurement.
-
-    * **latency gate** — the reference normalized warm p99 may not
-      exceed the latest trajectory entry's by more than
-      ``max_regression`` (fractional, 0.15 = 15%);
-    * **throughput gate** — the reference normalized warm throughput
-      may not drop below the latest entry's by more than
-      ``max_regression``;
-    * **scale gate** — the max worker tier's steady-state (warm)
-      throughput must be at least ``min_scale`` times the 1-worker cold
-      throughput (the acceptance ratio, re-proven on every run).
-    """
-    result = ServiceGateResult(
-        ok=True, scale_ratio=record["scale_warm_max_vs_cold_1w"],
-    )
-    if result.scale_ratio < min_scale:
-        result.ok = False
-        result.problems.append(
-            f"worker scaling: max-tier steady-state throughput is only "
-            f"{result.scale_ratio:.2f}x the 1-worker cold throughput; "
-            f"required >= {min_scale:.1f}x"
-        )
-    baseline = trajectory.baseline
-    if baseline is None:
-        result.ok = False
-        result.problems.append(
-            "no baseline entry in the trajectory: record one first "
-            "(tools/service_gate.py --record <label>)"
-        )
-        return result
-    reference = record["reference"]
-    base_reference = baseline["reference"]
-    p99_ratio = (
-        reference["normalized_warm_p99"]
-        / base_reference["normalized_warm_p99"]
-    )
-    result.p99_ratio = p99_ratio
-    if p99_ratio > 1.0 + max_regression:
-        result.ok = False
-        result.problems.append(
-            f"p99 latency regression: normalized warm p99 "
-            f"{reference['normalized_warm_p99']:.4f} is {p99_ratio:.2f}x the "
-            f"baseline entry '{baseline.get('label', '?')}' "
-            f"({base_reference['normalized_warm_p99']:.4f}); "
-            f"allowed at most {1.0 + max_regression:.2f}x"
-        )
-    throughput_ratio = (
-        reference["normalized_warm_throughput"]
-        / base_reference["normalized_warm_throughput"]
-    )
-    result.throughput_ratio = throughput_ratio
-    if throughput_ratio < 1.0 - max_regression:
-        result.ok = False
-        result.problems.append(
-            f"throughput drop: normalized warm throughput "
-            f"{reference['normalized_warm_throughput']:.4f} is "
-            f"{throughput_ratio:.2f}x the baseline entry "
-            f"'{baseline.get('label', '?')}' "
-            f"({base_reference['normalized_warm_throughput']:.4f}); "
-            f"allowed at least {1.0 - max_regression:.2f}x"
-        )
-    return result
-
-
-@dataclass
-class IncrementalGateResult:
-    """Outcome of gating one incremental-rebuild measurement."""
-
-    ok: bool
-    problems: list[str] = field(default_factory=list)
-    #: fraction of the function partition re-analyzed for the mutation
-    reanalyzed_fraction: float = 0.0
-    #: fraction of identification anchors whose backward symex re-executed
-    sites_reexecuted_fraction: float = 0.0
-    #: whether the incremental report matched the cold report exactly
-    equivalent: bool = False
-
-
-def gate_incremental_measurement(
-    record: dict,
-    trajectory: Trajectory,
-    *,
-    max_fraction: float = 0.05,
-    max_site_fraction: float = 0.05,
-) -> IncrementalGateResult:
-    """Apply the incremental-rebuild gates to a fresh measurement.
-
-    * **locality gate** — a ``functions_changed``-function mutation
-      (3 of ~400 in the recorded workload) may re-analyze at most
-      ``max_fraction`` of the function partition;
-    * **symex locality gate** — the same mutation may re-execute the
-      backward search of at most ``max_site_fraction`` of the
-      identification anchors (plain sites + wrapper call sites); the
-      rest must replay from cached ``funcid`` products.  Applied only
-      when the record carries the site counters, so pre-funcid
-      trajectory entries still load;
-    * **equivalence gate** — the incremental report must be
-      byte-identical (modulo runtime fields) to the cold report of the
-      same mutated binary.  Speed is recorded but not gated: locality
-      is the contract, wall time is machine-dependent commentary.
-
-    Like the other gates, a trajectory without a baseline entry fails
-    closed until one is recorded (``tools/incremental_gate.py --record``).
-    """
-    result = IncrementalGateResult(
-        ok=True,
-        reanalyzed_fraction=record["reanalyzed_fraction"],
-        sites_reexecuted_fraction=float(
-            record.get("sites_reexecuted_fraction", 0.0)
-        ),
-        equivalent=bool(record["equivalent"]),
-    )
-    if result.reanalyzed_fraction > max_fraction:
-        result.ok = False
-        result.problems.append(
-            f"rebuild locality: a {record['functions_changed']}-function "
-            f"mutation re-analyzed {record['functions_reanalyzed']} of "
-            f"{record['functions_total']} functions "
-            f"({100 * result.reanalyzed_fraction:.2f}%); "
-            f"allowed at most {100 * max_fraction:.1f}%"
-        )
-    if (
-        "sites_reexecuted_fraction" in record
-        and result.sites_reexecuted_fraction > max_site_fraction
-    ):
-        result.ok = False
-        result.problems.append(
-            f"symex locality: a {record['functions_changed']}-function "
-            f"mutation re-executed {record['sites_reexecuted']} of "
-            f"{record['sites_total']} identification sites "
-            f"({100 * result.sites_reexecuted_fraction:.2f}%); "
-            f"allowed at most {100 * max_site_fraction:.1f}%"
-        )
-    if not result.equivalent:
-        result.ok = False
-        result.problems.append(
-            "equivalence: the incremental report differed from the cold "
-            "report of the same mutated binary"
-        )
-    if trajectory.baseline is None:
-        result.ok = False
-        result.problems.append(
-            "no baseline entry in the trajectory: record one first "
-            "(tools/incremental_gate.py --record <label>)"
-        )
-    return result

@@ -157,7 +157,7 @@ def check_results_sync(problems: list[str]) -> None:
     if not os.path.exists(path):
         problems.append(
             "BENCH_eval_accuracy.json: missing — record an entry "
-            "(tools/accuracy_gate.py --record <label> --seed-baseline)"
+            "(tools/gate.py accuracy --record <label> --seed-baseline)"
         )
         return
     try:
@@ -183,7 +183,7 @@ def check_results_sync(problems: list[str]) -> None:
             "gate-workload BENCH_eval_accuracy.json entry (paste the "
             "aggregate table from `bside eval --scale 0.2 --seed 42 "
             "--markdown --no-record`, or re-record the trajectory via "
-            "`tools/accuracy_gate.py --record <label>`)"
+            "`tools/gate.py accuracy --record <label>`)"
         )
 
 
