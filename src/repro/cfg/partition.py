@@ -1,6 +1,6 @@
 """Function-granular partition of an image's text section.
 
-The incremental analysis tier (``bside analyze --incremental``) caches
+The incremental analysis tier (``BSideAnalyzer(incremental=True)``) caches
 per-function CFG products, so it needs a deterministic way to cut the
 text section into function *regions*.  Region starts are the in-text
 function-symbol starts (``LoadedImage.function_boundaries``) plus the

@@ -4,15 +4,11 @@ Commands
 --------
 
 ``analyze <binary> [--libdir DIR] [--json] [--cache-dir DIR] [--no-cache]
-[--incremental] [--no-sig-filter]``
+[--no-sig-filter]``
     Identify the syscalls a binary can invoke; print names or JSON.
     With ``--cache-dir``, a matching cached report is served without
-    re-analysis; ``--incremental`` additionally caches per-function CFG
-    and identification products (kinds ``funccfg``/``funcid``) so a
-    rebuilt binary re-analyzes only its changed functions plus their
-    dependency cone, and re-executes symex only for the affected sites.
-    ``--no-sig-filter`` disables the signature-compatibility refinement
-    of indirect-call resolution (the ablation configuration).
+    re-analysis.  ``--no-sig-filter`` disables the signature-compatibility
+    refinement of indirect-call resolution (the ablation configuration).
 
 ``profile <binary> [--libdir DIR] [--json] [--repeats N]``
     Time one cold analysis and print the per-pass stage profile
@@ -34,7 +30,7 @@ Commands
     Run the binary under the emulator and print its syscall trace.
 
 ``fleet <dir> [--workers N] [--cache-dir DIR] [--no-cache] [--json]
-[--incremental] [--no-sig-filter]``
+[--no-sig-filter]``
     Batch-analyze every ELF in a directory: cached per-binary reports are
     served from the artifact store, library interfaces are computed once
     (and cached persistently with ``--cache-dir``), then per-binary
@@ -59,7 +55,7 @@ Commands
 
 ``serve [--host H] [--port P] --state-dir DIR [--cache-dir DIR]
 [--workers N] [--worker-procs N] [--shards N] [--join] [--worker-id W]
-[--lease-ttl S] [--queue-size N] [--libdir DIR] [--incremental]``
+[--lease-ttl S] [--queue-size N] [--libdir DIR]``
     Run the analysis daemon: an asyncio HTTP/JSON job API over the
     fleet engine and the (optionally sharded) artifact store.  With
     ``--worker-procs`` the queue is drained by external worker
@@ -115,10 +111,7 @@ def _make_analyzer(args) -> BSideAnalyzer:
     """Analyzer honouring ``--libdir``, the cache flags, and
     ``--no-sig-filter``."""
     cache_dir = _cache_dir(args)
-    incremental = getattr(args, "incremental", False)
     if cache_dir is None:
-        # Incremental without a store degrades to a cold analysis (the
-        # incremental pass needs somewhere to keep funccfg products).
         return BSideAnalyzer(
             resolver=_resolver(args), budget=AnalysisBudget(),
             indirect_signatures=_sig_filter(args),
@@ -131,7 +124,6 @@ def _make_analyzer(args) -> BSideAnalyzer:
         budget=AnalysisBudget(),
         interface_store=PersistentInterfaceStore(store=artifacts),
         artifact_store=artifacts,
-        incremental=incremental,
         indirect_signatures=_sig_filter(args),
     )
 
@@ -149,14 +141,6 @@ def cmd_analyze(args) -> int:
             "syscall_names": sorted(name_of(n) for n in report.syscalls),
             "sites_examined": report.sites_examined,
             "bbs_explored": report.bbs_explored,
-            **({
-                "functions_total": report.functions_total,
-                "functions_reanalyzed": report.functions_reanalyzed,
-            } if report.functions_total else {}),
-            **({
-                "sites_total": report.sites_total,
-                "sites_reexecuted": report.sites_reexecuted,
-            } if report.sites_total else {}),
         }, indent=2))
         return 0 if report.success else 1
     if not report.success:
@@ -165,12 +149,6 @@ def cmd_analyze(args) -> int:
         return 1
     print(f"{report.binary}: {len(report.syscalls)} syscalls"
           + ("" if report.complete else " (INCOMPLETE: over-approximate)"))
-    if report.functions_total:
-        print(f"  incremental: re-analyzed {report.functions_reanalyzed} "
-              f"of {report.functions_total} functions")
-    if report.sites_total:
-        print(f"  incremental: re-executed {report.sites_reexecuted} "
-              f"of {report.sites_total} identification sites")
     for nr in sorted(report.syscalls):
         print(f"  {nr:>4}  {name_of(nr)}")
     return 0
@@ -290,7 +268,6 @@ def cmd_fleet(args) -> int:
     fleet = FleetAnalyzer(
         resolver=_resolver(args), budget=AnalysisBudget(),
         workers=args.workers, cache_dir=cache_dir,
-        incremental=args.incremental and cache_dir is not None,
         indirect_signatures=_sig_filter(args),
     )
     report = fleet.analyze_directory(args.directory)
@@ -476,8 +453,6 @@ def cmd_serve(args) -> int:
         shards=args.shards,
         shared=external > 0,
         lease_ttl=args.lease_ttl,
-        dispatcher=external == 0,
-        incremental=args.incremental,
     )
     service.write_config()
     server = AsyncServiceServer(service, host=args.host, port=args.port)
@@ -585,13 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="ignore --cache-dir and analyze everything fresh")
 
-    def incremental_flag(p):
-        p.add_argument("--incremental", action="store_true",
-                       help="cache per-function CFG and identification "
-                            "products (funccfg/funcid) and re-analyze only "
-                            "changed functions plus their dependency cone "
-                            "(needs --cache-dir)")
-
     def sig_flag(p):
         p.add_argument("--no-sig-filter", action="store_true",
                        help="disable the signature-compatibility refinement "
@@ -604,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     common(p)
     cache_flags(p)
-    incremental_flag(p)
     sig_flag(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -690,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for per-binary analysis")
     common(p)
     cache_flags(p)
-    incremental_flag(p)
     sig_flag(p)
     p.set_defaults(func=cmd_fleet)
 
@@ -729,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "do not name one")
     p.add_argument("--log-level", default="info",
                    help="logging level (debug, info, warning, ...)")
-    incremental_flag(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("submit", help="submit a job to a running daemon")

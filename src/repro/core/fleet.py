@@ -23,7 +23,8 @@ fleet-wide statistics, and CVE exposure.
 3. **Binary phase** — per-binary analysis fans out over a
    ``ProcessPoolExecutor`` when ``workers > 1``; each worker rebuilds the
    resolver from raw library bytes and receives the phase-2 interfaces
-   pre-computed, so no worker ever re-analyzes a library.
+   pre-computed, so no worker ever re-analyzes a library.  Analyzers
+   bind no artifact store: the parent owns all report traffic.
    ``workers=1`` keeps the original in-process loop, and
    per-binary results are ordered by input position either way, so the
    deterministic portion of :meth:`FleetReport.to_json` is byte-identical
@@ -50,7 +51,7 @@ from ..loader.resolve import LibraryResolver
 from ..syscalls.cves import CVE_DATABASE, protection_rate
 from ..syscalls.table import name_of
 from .analyzer import BSideAnalyzer
-from .artifacts import ArtifactStore, ShardedArtifactStore
+from .artifacts import ArtifactStore
 from .ifacecache import PersistentInterfaceStore
 from .interface import InterfaceStore
 from .pipeline import add_runs, pipeline_runs
@@ -87,12 +88,6 @@ class FleetEntry:
             doc["cache_hits"] = self.cache_hits
             doc["cache_misses"] = self.cache_misses
             doc["cached"] = self.from_cache
-            if self.report.functions_total:
-                doc["functions_total"] = self.report.functions_total
-                doc["functions_reanalyzed"] = self.report.functions_reanalyzed
-            if self.report.sites_total:
-                doc["sites_total"] = self.report.sites_total
-                doc["sites_reexecuted"] = self.report.sites_reexecuted
         return doc
 
 
@@ -231,17 +226,6 @@ def _init_worker(config: dict) -> None:
     store = InterfaceStore()
     for interface in config["interfaces"]:
         store.put(interface)
-    # Incremental workers reopen the shared artifact store by path spec
-    # (stores hold open directory state and are not picklable).
-    artifact_store = None
-    spec = config.get("artifacts")
-    if spec is not None:
-        if spec.get("roots"):
-            artifact_store = ShardedArtifactStore(
-                spec.get("cache_dir", ""), roots=list(spec["roots"]),
-            )
-        else:
-            artifact_store = ArtifactStore(spec["cache_dir"])
     _worker_state["analyzer"] = BSideAnalyzer(
         resolver=resolver,
         budget=config["budget"],
@@ -250,8 +234,6 @@ def _init_worker(config: dict) -> None:
         directed_search=config["directed_search"],
         use_active_addresses_taken=config["use_active_addresses_taken"],
         indirect_signatures=config.get("indirect_signatures", True),
-        incremental=config.get("incremental", False),
-        artifact_store=artifact_store,
     )
 
 
@@ -291,7 +273,6 @@ class FleetAnalyzer:
         cache_dir: str | None = None,
         interface_store: InterfaceStore | None = None,
         artifact_store: ArtifactStore | None = None,
-        incremental: bool = False,
         indirect_signatures: bool = True,
         on_entry=None,
         analyzer=None,
@@ -299,9 +280,6 @@ class FleetAnalyzer:
         self.resolver = resolver if resolver is not None else LibraryResolver()
         self.budget = budget if budget is not None else AnalysisBudget()
         self.workers = max(1, int(workers))
-        self.cache_dir = cache_dir
-        #: run the function-granular incremental assembler per binary
-        self.incremental = bool(incremental)
         #: optional ``callable(index, FleetEntry)`` progress hook, invoked
         #: once per binary as its outcome lands (cached entries first,
         #: then analyzed ones); ``index`` is the binary's position in the
@@ -330,17 +308,12 @@ class FleetAnalyzer:
                 )
             # NB: the fleet owns report-artifact traffic (phase 1), so the
             # analyzer gets no artifact store of its own — per-binary
-            # lookups would otherwise be double-counted.  Incremental mode
-            # is the exception: the analyzer needs the store for its
-            # per-function ``funccfg`` products, at the cost of duplicate
-            # report-counter traffic (runtime-only fields).
+            # lookups would otherwise be double-counted.
             self.analyzer = BSideAnalyzer(
                 resolver=self.resolver,
                 budget=self.budget,
                 interface_store=interface_store,
-                incremental=self.incremental,
                 indirect_signatures=indirect_signatures,
-                artifact_store=self.artifacts if self.incremental else None,
             )
 
     @property
@@ -553,17 +526,6 @@ class FleetAnalyzer:
             cache_misses=getattr(store, "misses", 0) - misses0,
         )
 
-    def _artifact_spec(self) -> dict | None:
-        """A picklable recipe worker processes reopen the store from."""
-        if self.artifacts is None:
-            return None
-        if isinstance(self.artifacts, ShardedArtifactStore):
-            return {
-                "cache_dir": self.artifacts.cache_dir,
-                "roots": list(self.artifacts.roots),
-            }
-        return {"cache_dir": self.artifacts.cache_dir}
-
     def _analyze_parallel(
         self, images: list[LoadedImage]
     ) -> list[FleetEntry] | None:
@@ -591,8 +553,6 @@ class FleetAnalyzer:
             "use_active_addresses_taken":
                 self.analyzer.use_active_addresses_taken,
             "indirect_signatures": self.analyzer.indirect_signatures,
-            "incremental": self.incremental,
-            "artifacts": self._artifact_spec() if self.incremental else None,
         }
         entries: list[FleetEntry | None] = [None] * len(images)
         remote: list[tuple[int, LoadedImage]] = []

@@ -1,7 +1,9 @@
 """The incremental tier's per-analysis state: ``funccfg`` and ``funcid``.
 
-``bside analyze --incremental`` runs the same passes as a cold analysis;
-:class:`IncrementalState` is the one extra input they consult.  It holds
+An incremental analysis (``BSideAnalyzer(incremental=True,
+artifact_store=...)``, the tier's only entry point) runs the same passes
+as a cold analysis; :class:`IncrementalState` is the one extra input
+they consult.  It holds
 the whole-image :class:`~repro.cfg.funccfg.ImageScan` and the image's two
 :class:`~repro.core.artifacts.ProductTable` s: ``funccfg`` (per-region
 block starts, keyed by the Merkle callee-closure hash; see

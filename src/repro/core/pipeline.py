@@ -283,9 +283,10 @@ class CfgRecoveryPass(Pass):
     Baselines reuse this pass with ``indirect="all"``/``"none"`` and
     ``make_exec=False`` (they never execute symbolically).
 
-    An incremental config with an artifact store bound (``bside analyze
-    --incremental``) assembles the direct CFG function by function
-    instead of through :func:`~repro.cfg.builder.build_cfg`, and leaves
+    An incremental config with an artifact store bound
+    (``BSideAnalyzer(incremental=True, artifact_store=...)``) assembles
+    the direct CFG function by function instead of through
+    :func:`~repro.cfg.builder.build_cfg`, and leaves
     the :class:`~repro.core.funcid.IncrementalState` the later passes
     replay through on :attr:`AnalysisContext.incremental`.  The decode
     sweep still runs whole-image (it is exact and cheap relative to the

@@ -199,7 +199,6 @@ def measure_service_scale(
             service = AnalysisService(
                 state,
                 shared=True,
-                dispatcher=False,
                 shards=shards,
                 lease_ttl=lease_ttl,
                 queue_size=max(

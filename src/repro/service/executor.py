@@ -3,7 +3,9 @@
 :class:`AnalysisService` owns the daemon's long-lived state — one
 bounded :class:`~repro.service.jobs.JobQueue`, one shared
 content-addressed :class:`~repro.core.artifacts.ArtifactStore` — and a
-dispatcher thread that drains the queue in batches.
+dispatcher thread that drains the queue in batches.  A ``shared``
+service runs no dispatcher: its queue is drained by worker processes
+(:mod:`repro.service.worker`) through lease claims.
 
 A submission whose report is already in the store never reaches the
 queue: :meth:`AnalysisService.submit` hashes the bytes, and only when
@@ -94,8 +96,6 @@ class AnalysisService:
         shared: bool = False,
         lease_ttl: float = 30.0,
         worker_id: str | None = None,
-        dispatcher: bool = True,
-        incremental: bool = False,
     ) -> None:
         self.state_dir = state_dir
         self.workers = max(1, int(workers))
@@ -105,8 +105,6 @@ class AnalysisService:
         self.fleet_workers = max(1, min(self.workers, os.cpu_count() or 1))
         self.default_libdir = libdir
         self.budget = budget if budget is not None else AnalysisBudget()
-        #: function-granular incremental analysis for every batch
-        self.incremental = bool(incremental)
         self.cache_dir = cache_dir or os.path.join(state_dir, "cache")
         self.spool_dir = os.path.join(state_dir, "spool")
         os.makedirs(self.spool_dir, exist_ok=True)
@@ -118,12 +116,10 @@ class AnalysisService:
         else:
             self.artifacts = ArtifactStore(self.cache_dir)
         #: multi-process mode: the queue directory is shared with worker
-        #: processes, which claim jobs through leases
+        #: processes, which claim jobs through leases; no local dispatcher
         self.shared = bool(shared)
         #: set on worker processes; guards result persistence on lost leases
         self.worker_id = worker_id
-        #: False on a front end whose jobs are drained by external workers
-        self.run_dispatcher = bool(dispatcher)
         self.queue = JobQueue(
             os.path.join(state_dir, "jobs"), maxsize=queue_size,
             shared=self.shared, lease_ttl=lease_ttl,
@@ -146,7 +142,6 @@ class AnalysisService:
             "queue_size": self.queue.maxsize,
             "batch_factor": self.batch_factor,
             "lease_ttl": self.queue.lease_ttl,
-            "incremental": self.incremental,
         }
         path = os.path.join(self.state_dir, CONFIG_NAME)
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -283,10 +278,10 @@ class AnalysisService:
     def start(self) -> None:
         """Start the dispatcher thread (idempotent).
 
-        No-op when this instance was built with ``dispatcher=False`` —
-        a front end whose queue is drained by external worker processes
-        must never also run jobs locally."""
-        if not self.run_dispatcher or self._thread is not None:
+        No-op on a ``shared`` service — a front end whose queue is
+        drained by external worker processes must never also run jobs
+        locally."""
+        if self.shared or self._thread is not None:
             return
         self._stop.clear()
         self._thread = threading.Thread(
@@ -334,7 +329,6 @@ class AnalysisService:
             budget=self.budget,
             workers=self.fleet_workers,
             artifact_store=self.artifacts,
-            incremental=self.incremental,
             on_entry=on_entry,
         )
 
@@ -423,7 +417,7 @@ class AnalysisService:
                        queue_seconds: float) -> dict:
         """Per-job metrics of one fleet entry; ``batch_size`` 0 means the
         job was served at submission time."""
-        metrics = {
+        return {
             "seconds": round(entry.seconds, 6),
             "cache_hits": entry.cache_hits,
             "cache_misses": entry.cache_misses,
@@ -431,13 +425,6 @@ class AnalysisService:
             "batch_size": batch_size,
             "queue_seconds": round(queue_seconds, 6),
         }
-        if entry.report.functions_total:
-            metrics["functions_total"] = entry.report.functions_total
-            metrics["functions_reanalyzed"] = entry.report.functions_reanalyzed
-        if entry.report.sites_total:
-            metrics["sites_total"] = entry.report.sites_total
-            metrics["sites_reexecuted"] = entry.report.sites_reexecuted
-        return metrics
 
     def _run_fleet_job(self, job: Job) -> None:
         directory = job.spec["directory"]
@@ -467,21 +454,14 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        doc = {
+        return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "mode": "shared" if self.shared else "local",
             "workers": self.workers,
             "fleet_workers": self.fleet_workers,
             "batch_size": self.batch_size,
             "shards": self.shards,
-            "incremental": self.incremental,
             "pipeline_runs": pipeline_runs(),
             "queue": self.queue.stats(),
             "cache": self.artifacts.stats(),
         }
-        if self.incremental:
-            doc["incremental_totals"] = self.queue.metric_totals((
-                "functions_total", "functions_reanalyzed",
-                "sites_total", "sites_reexecuted",
-            ))
-        return doc

@@ -261,8 +261,9 @@ class JobQueue:
         except FileNotFoundError:
             return []
         return sorted(
-            name[:-5] for name in names
-            if name.endswith(".json") and not name.startswith(".")
+            (name[:-5] for name in names
+             if name.endswith(".json") and not name.startswith(".")),
+            key=self._seq_of,
         )
 
     def _recover(self) -> None:
@@ -301,6 +302,10 @@ class JobQueue:
 
     @staticmethod
     def _seq_of(job_id: str) -> int:
+        """Submission sequence number of ``job_id``: the FIFO sort key.
+
+        Ids are zero-padded to six digits only, so string order breaks
+        after ``job-999999``."""
         try:
             return int(job_id.rsplit("-", 1)[-1])
         except ValueError:
@@ -351,7 +356,7 @@ class JobQueue:
                 job.id for job in self._jobs.values()
                 if job.status == STATUS_QUEUED
             )
-            self._queued = sorted(queued)
+            self._queued = sorted(queued, key=self._seq_of)
             if self._queued:
                 self._not_empty.notify_all()
 
@@ -613,7 +618,7 @@ class JobQueue:
                 self._jobs[job.id] = job
                 if job.id not in self._queued:
                     self._queued.append(job.id)
-                    self._queued.sort()
+                    self._queued.sort(key=self._seq_of)
                 self.counters["reclaimed"] += 1
                 self._not_empty.notify()
             reclaimed += 1
@@ -665,7 +670,8 @@ class JobQueue:
         """Every known job, submission order."""
         self.refresh(min_interval=0.05)
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.id)
+            return sorted(self._jobs.values(),
+                          key=lambda j: self._seq_of(j.id))
 
     def depth(self) -> int:
         self.refresh(min_interval=0.05)
@@ -719,22 +725,3 @@ class JobQueue:
         if self.shared:
             doc["leases"] = self.lease_stats()
         return doc
-
-    def metric_totals(self, keys: tuple[str, ...]) -> dict[str, int]:
-        """Sum numeric per-job metrics across every known job.
-
-        Jobs executed by worker processes count too: their metric
-        documents land in the shared state directory and ``refresh``
-        folds them into ``self._jobs`` — which is what lets the front
-        end aggregate incremental-analysis totals it never ran itself.
-        """
-        self.refresh(min_interval=0.05)
-        totals = {key: 0 for key in keys}
-        with self._lock:
-            for job in self._jobs.values():
-                metrics = job.metrics or {}
-                for key in keys:
-                    value = metrics.get(key)
-                    if isinstance(value, (int, float)):
-                        totals[key] += int(value)
-        return totals

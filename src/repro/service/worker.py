@@ -68,7 +68,6 @@ class ServiceWorker:
             "queue_size": config.get("queue_size", 64),
             "batch_factor": config.get("batch_factor", 4),
             "lease_ttl": config.get("lease_ttl", 30.0),
-            "incremental": config.get("incremental", False),
         }
         kwargs.update(overrides)
         self.worker_id = worker_id or f"worker-{os.getpid()}"
@@ -76,7 +75,6 @@ class ServiceWorker:
             state_dir,
             shared=True,
             worker_id=self.worker_id,
-            dispatcher=False,
             **kwargs,
         )
         self.queue = self.service.queue

@@ -64,24 +64,17 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/bin"]) == 2
 
-    def test_incremental_plain_output(self, demo_binary, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["analyze", demo_binary, "--cache-dir", cache,
-                     "--incremental"]) == 0
-        out = capsys.readouterr().out
-        assert "incremental: re-analyzed 1 of 1 functions" in out
-        assert "incremental: re-executed 2 of 2 identification sites" in out
-
-    def test_incremental_json_output(self, demo_binary, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["analyze", demo_binary, "--json", "--cache-dir", cache,
-                     "--incremental"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["success"] is True
-        assert doc["functions_total"] == 1
-        assert doc["functions_reanalyzed"] == 1
-        assert doc["sites_total"] == 2
-        assert doc["sites_reexecuted"] == 2
+    @pytest.mark.parametrize("command", ["analyze", "fleet", "serve"])
+    def test_incremental_flag_is_gone(self, command, demo_binary, tmp_path,
+                                      capsys):
+        # the tier is reached only through BSideAnalyzer(incremental=True)
+        target = {"analyze": [demo_binary],
+                  "fleet": [str(tmp_path)],
+                  "serve": ["--state-dir", str(tmp_path)]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, "--incremental"])
+        assert exit_info.value.code == 2
+        assert "--incremental" in capsys.readouterr().err
 
     def test_cold_output_has_no_function_counters(self, demo_binary, capsys):
         assert main(["analyze", demo_binary, "--json"]) == 0
@@ -151,29 +144,27 @@ class TestCache:
         assert doc["total_entries"] == 4
         assert sum(s["entries"] for s in doc["per_shard"]) == 4
 
-    def test_funccfg_stats_and_prune(self, demo_binary, tmp_path, capsys):
+    def _stats_and_prune(self, kind, binary, tmp_path, capsys):
+        from repro.core import ArtifactStore, BSideAnalyzer
+        from repro.loader import LoadedImage
+
         cache = str(tmp_path / "cache")
-        assert main(["analyze", demo_binary, "--cache-dir", cache,
-                     "--incremental"]) == 0
-        capsys.readouterr()
+        # the tier's funccfg/funcid tables are written only through the API
+        report = BSideAnalyzer(
+            incremental=True, artifact_store=ArtifactStore(cache),
+        ).analyze(LoadedImage.from_path(binary))
+        assert report.success
         assert main(["cache", "stats", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "funccfg" in out
+        assert kind in capsys.readouterr().out
         assert main(["cache", "prune", "--cache-dir", cache,
-                     "--kind", "funccfg"]) == 0
-        assert "removed 1 funccfg entries" in capsys.readouterr().out
+                     "--kind", kind]) == 0
+        assert f"removed 1 {kind} entries" in capsys.readouterr().out
+
+    def test_funccfg_stats_and_prune(self, demo_binary, tmp_path, capsys):
+        self._stats_and_prune("funccfg", demo_binary, tmp_path, capsys)
 
     def test_funcid_stats_and_prune(self, demo_binary, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["analyze", demo_binary, "--cache-dir", cache,
-                     "--incremental"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "funcid" in out
-        assert main(["cache", "prune", "--cache-dir", cache,
-                     "--kind", "funcid"]) == 0
-        assert "removed 1 funcid entries" in capsys.readouterr().out
+        self._stats_and_prune("funcid", demo_binary, tmp_path, capsys)
 
     def test_funcid_prune_sharded(self, tmp_path, capsys):
         from repro.core import ShardedArtifactStore

@@ -514,40 +514,6 @@ class TestBatchIntegrity:
             srv.stop()
 
 
-class TestIncrementalService:
-    def test_stats_expose_incremental_totals(self, tmp_path, demo_binary):
-        service = AnalysisService(
-            str(tmp_path / "state"), workers=1, queue_size=8,
-            incremental=True,
-        )
-        srv = AsyncServiceServer(service, port=0)
-        srv.start()
-        try:
-            client = ServiceClient(srv.url)
-            job = client.wait(client.submit_path(demo_binary)["id"])
-            assert job["status"] == "done"
-            # Runtime-only counters surface as job metrics...
-            assert job["metrics"]["functions_total"] == 1
-            assert job["metrics"]["functions_reanalyzed"] == 1
-            assert job["metrics"]["sites_total"] == 2
-            assert job["metrics"]["sites_reexecuted"] == 2
-            # ...and aggregate across jobs in /v1/stats.
-            stats = client.stats()
-            assert stats["incremental"] is True
-            totals = stats["incremental_totals"]
-            assert totals["functions_total"] == 1
-            assert totals["functions_reanalyzed"] == 1
-            assert totals["sites_total"] == 2
-            assert totals["sites_reexecuted"] == 2
-        finally:
-            srv.stop()
-
-    def test_cold_service_stats_have_no_incremental_totals(self, client):
-        stats = client.stats()
-        assert stats["incremental"] is False
-        assert "incremental_totals" not in stats
-
-
 class TestBackpressure:
     def test_queue_full_returns_429(self, tmp_path, demo_binary):
         service = AnalysisService(str(tmp_path / "state"), queue_size=3)
@@ -651,6 +617,28 @@ class TestJobQueue:
             queue.submit("analyze", {"path": f"/bin{index}"})
         assert len(queue.take_batch(3)) == 3
         assert queue.depth() == 2
+
+    @pytest.mark.parametrize("reader", ["recovery", "refresh"])
+    def test_fifo_order_past_six_digit_ids(self, tmp_path, reader):
+        """Ids outgrow their six-digit padding after ``job-999999``:
+        restart recovery and shared-mode refresh must order the queue
+        by sequence number, not by id string."""
+        jobs_dir = str(tmp_path / "jobs")
+        shared = reader == "refresh"
+        queue = JobQueue(jobs_dir, maxsize=8, shared=shared)
+        peer = JobQueue(jobs_dir, maxsize=8, shared=True) if shared else None
+        queue._seq = 999_998
+        ids = [queue.submit("analyze", {"path": f"/bin{index}"}).id
+               for index in range(3)]
+        assert ids == ["job-999999", "job-1000000", "job-1000001"]
+        if shared:
+            assert [job.id for job in peer.jobs()] == ids
+            batch = peer.claim_batch("peer", 8)
+        else:
+            revived = JobQueue(jobs_dir, maxsize=8)
+            assert [job.id for job in revived.jobs()] == ids
+            batch = revived.take_batch(8)
+        assert [job.id for job in batch] == ids
 
 
 class TestErrorContract:

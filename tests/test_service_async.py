@@ -147,7 +147,7 @@ class TestStress:
         service = AnalysisService(
             str(tmp_path / "state"),
             queue_size=2,
-            shared=True, dispatcher=False,  # nothing drains the queue
+            shared=True,  # nothing drains the queue
         )
         server = AsyncServiceServer(service, port=0)
         server.start(executor=False)

@@ -27,7 +27,9 @@ import time
 
 import threading
 
+from repro.core import AnalysisBudget, AnalysisReport, BSideAnalyzer
 from repro.corpus import ProgramBuilder
+from repro.loader import LibraryResolver, LoadedImage
 from repro.service import (
     AnalysisService,
     AsyncServiceServer,
@@ -90,7 +92,6 @@ def _front_end(state_dir, **kwargs):
     service = AnalysisService(
         str(state_dir),
         shared=True,
-        dispatcher=False,
         lease_ttl=kwargs.pop("lease_ttl", 2.0),
         **kwargs,
     )
@@ -442,3 +443,39 @@ class TestJournal:
         assert all(ev["worker"] == "journaled" for ev in events)
         for job in jobs:
             assert service.queue.get(job.id).status == STATUS_DONE
+
+
+class TestConfigUpgrade:
+    def test_worker_ignores_retired_incremental_key(self, tmp_path):
+        """A ``service.json`` written by an older front end may still
+        carry ``"incremental": true``.  A joining worker must run the
+        job cold, and ``/v1/stats`` must report no incremental tier."""
+        (binary,) = _build_binaries(tmp_path / "bin", 1)
+        state = tmp_path / "state"
+        service = _front_end(state)
+        config_path = state / "service.json"
+        config = json.loads(config_path.read_text())
+        config["incremental"] = True
+        config_path.write_text(json.dumps(config))
+
+        job = service.submit("analyze", {"path": binary})
+        ServiceWorker(str(state), "upgraded", poll=0.05).run(idle_exit=0.5)
+
+        done = service.queue.get(job.id)
+        assert done.status == STATUS_DONE
+        assert "functions_total" not in done.result
+        assert "functions_total" not in done.metrics
+        cold = BSideAnalyzer(
+            resolver=LibraryResolver(), budget=AnalysisBudget(),
+        ).analyze(LoadedImage.from_path(binary))
+        served = AnalysisReport.from_doc(done.result)
+        assert served.to_json(include_runtime=False) == \
+            cold.to_json(include_runtime=False)
+
+        server = AsyncServiceServer(service, port=0)
+        server.start(executor=False)
+        try:
+            stats = ServiceClient(server.url).stats()
+        finally:
+            server.stop()
+        assert not any(key.startswith("incremental") for key in stats)

@@ -6,10 +6,13 @@ Five checks, all offline:
 1. **Relative links resolve.**  Every `[text](target)` in the repo's
    markdown files whose target is not an absolute URL must point at an
    existing file (anchors are checked against the target's headings).
-2. **CLI reference drift.**  Every `bside` subcommand in the argparse
-   tree has a `### \`bside <name>\`` entry in `docs/cli.md`, and every
-   long flag of every subcommand appears in that file.  A new
-   subcommand or flag without documentation fails CI.
+2. **CLI reference drift, both ways.**  Every `bside` subcommand in the
+   argparse tree has a `### \`bside <name>\`` entry in `docs/cli.md`,
+   and every long flag of every subcommand appears in that file.  A new
+   subcommand or flag without documentation fails CI.  Conversely,
+   every `--flag` in the synopsis code block of a `### \`bside <name>\``
+   entry must be a flag of `bside <name>` or of one of its nested
+   commands, so a removed flag cannot linger in the docs.
 3. **Quickstart sync.**  The module docstring of
    `examples/quickstart.py` appears byte-for-byte in
    `docs/user-guide.md`, so the walkthrough and the example cannot
@@ -42,6 +45,8 @@ DOC_DIRS = ["docs"]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
+_ENTRY = re.compile(r"^### `bside ([\w-]+)`")
+_FLAG = re.compile(r"--[a-z][a-z0-9-]*")
 
 
 def _markdown_files() -> list[str]:
@@ -83,6 +88,24 @@ def check_links(problems: list[str]) -> None:
                     )
 
 
+def _synopsis_flags(doc: str) -> dict[str, set[str]]:
+    """The `--flag`s in the code blocks of each `### `bside X`` entry."""
+    flags: dict[str, set[str]] = {}
+    command, fenced = None, False
+    for line in doc.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            if command is not None:
+                flags[command].update(_FLAG.findall(line))
+        elif line.startswith("#"):
+            match = _ENTRY.match(line)
+            command = match.group(1) if match else None
+            if command is not None:
+                flags.setdefault(command, set())
+    return flags
+
+
 def check_cli_reference(problems: list[str]) -> None:
     from repro.cli import build_parser
 
@@ -92,14 +115,18 @@ def check_cli_reference(problems: list[str]) -> None:
     subactions = [
         action for action in parser._subparsers._group_actions  # noqa: SLF001
     ]
+    #: every long flag of each subcommand and its nested commands
+    known: dict[str, set[str]] = {}
     for action in subactions:
         for name, sub in action.choices.items():
+            flags = known[name] = set()
             if f"`bside {name}`" not in doc:
                 problems.append(
                     f"docs/cli.md: subcommand 'bside {name}' has no entry"
                 )
                 continue
             for sub_action in sub._actions:  # noqa: SLF001
+                flags.update(sub_action.option_strings)
                 for opt in sub_action.option_strings:
                     if opt == "--help":
                         continue
@@ -119,6 +146,7 @@ def check_cli_reference(problems: list[str]) -> None:
                                 f"'bside {name} {nested}' is undocumented"
                             )
                         for na in nested_parser._actions:  # noqa: SLF001
+                            flags.update(na.option_strings)
                             for opt in na.option_strings:
                                 if opt == "--help":
                                     continue
@@ -128,6 +156,17 @@ def check_cli_reference(problems: list[str]) -> None:
                                         f"'bside {name} {nested}' is "
                                         f"undocumented"
                                     )
+    for name, documented in _synopsis_flags(doc).items():
+        if name not in known:
+            problems.append(
+                f"docs/cli.md: entry 'bside {name}' names no subcommand"
+            )
+            continue
+        for opt in sorted(documented - known[name]):
+            problems.append(
+                f"docs/cli.md: synopsis of 'bside {name}' shows '{opt}', "
+                f"which is not a flag of that command"
+            )
 
 
 def check_quickstart_sync(problems: list[str]) -> None:
